@@ -5,7 +5,6 @@ import pytest
 from conftest import single_shot
 
 from repro.apps import GrepCostProfile, PosCostProfile, PosTaggerApplication, UnitMeta
-from repro.apps.base import as_unit_meta
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.core.deadline import adjusted_deadline, adjustment_factor
@@ -26,8 +25,7 @@ def eq3_model():
 
 
 def _bin_time(profile: PosCostProfile, bin_, by_path) -> float:
-    metas = [as_unit_meta(by_path[it.key]) for it in bin_.items]
-    return profile.breakdown(metas).total
+    return profile.breakdown([by_path[it.key] for it in bin_.items]).total
 
 
 def test_ablation_first_fit_order_vs_sorted(benchmark):

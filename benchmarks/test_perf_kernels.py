@@ -85,10 +85,10 @@ def test_perf_catalogue_construction(benchmark):
 
 
 def test_perf_estimate_work_pos(benchmark):
-    from repro.apps import PosTaggerApplication, as_unit_meta
+    from repro.apps import PosTaggerApplication, UnitColumns
 
     cat = text_400k_like(scale=0.05)
-    metas = [as_unit_meta(u) for u in cat]
+    metas = UnitColumns.of(cat)
     app = PosTaggerApplication()
     work = benchmark(app.estimate_work, metas)
     assert work.tokens > 0

@@ -24,7 +24,7 @@ profiles are the simulator's hidden ground truth which the paper's
 empirical methodology (probes + regression) estimates from the outside.
 """
 
-from repro.apps.base import AppResult, TextApplication, UnitMeta, WorkAccount, as_unit_meta
+from repro.apps.base import AppResult, TextApplication, UnitColumns, UnitMeta, WorkAccount
 from repro.apps.extractor import ExtractCostProfile, ExtractorApplication
 from repro.apps.grep import GrepApplication
 from repro.apps.postagger import PosTaggerApplication
@@ -34,9 +34,9 @@ from repro.apps.tokenize import sentences, strip_markup, tokenize
 __all__ = [
     "AppResult",
     "TextApplication",
+    "UnitColumns",
     "UnitMeta",
     "WorkAccount",
-    "as_unit_meta",
     "ExtractorApplication",
     "ExtractCostProfile",
     "GrepApplication",

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.apps.base import AppResult, TextApplication, Unit, UnitMeta, WorkAccount
+import numpy as np
+
+from repro.apps.base import (
+    AppResult,
+    TextApplication,
+    Unit,
+    UnitColumns,
+    Units,
+    WorkAccount,
+    running_total,
+)
 from repro.apps.profiles import TimeBreakdown
 from repro.apps.tokenize import strip_markup
 from repro.sim.random import RngStream
@@ -55,14 +65,15 @@ class ExtractorApplication(TextApplication):
         work.validate()
         return AppResult(work=work, outputs={"texts": extracted})
 
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
+    def estimate_work(self, units: Units) -> WorkAccount:
         """Predict extraction work from metadata alone."""
-        work = WorkAccount()
-        for u in units:
-            work.files_opened += 1
-            work.bytes_read += u.size
-            visible = 1.0 - u.stats.markup_fraction
-            work.output_bytes += int(u.size * visible)
+        cols = UnitColumns.of(units)
+        visible = 1.0 - cols.markup_fraction
+        work = WorkAccount(
+            files_opened=len(cols),
+            bytes_read=int(cols.size.sum()),
+            output_bytes=int((cols.size * visible).astype(np.int64).sum()),
+        )
         work.validate()
         return work
 
@@ -84,13 +95,14 @@ class ExtractCostProfile:
 
         return rng.lognormal(math.log(self.setup_median), self.setup_sigma)
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+    def breakdown(self, units: Units, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for extracting ``units``."""
-        io = 0.0
-        cpu = 0.0
-        for u in units:
-            visible = 1.0 - u.stats.markup_fraction
-            io += self.per_file_overhead + u.size / self.stream_bandwidth
-            io += u.size * visible * self.write_per_byte
-            cpu += u.size * self.parse_per_byte
-        return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
+        cols = UnitColumns.of(units)
+        visible = 1.0 - cols.markup_fraction
+        # Per unit, the read term then the write term, in the order a
+        # per-unit ``io +=`` loop would add them.
+        io_terms = np.empty(2 * len(cols))
+        io_terms[0::2] = self.per_file_overhead + cols.size / self.stream_bandwidth
+        io_terms[1::2] = cols.size * visible * self.write_per_byte
+        return TimeBreakdown(setup=0.0, io=running_total(io_terms),
+                             cpu=running_total(cols.size * self.parse_per_byte))

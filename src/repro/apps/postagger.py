@@ -19,13 +19,23 @@ RB CD PUNCT.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.apps.base import AppResult, TextApplication, Unit, UnitMeta, WorkAccount
+import numpy as np
+
+from repro.apps.base import (
+    AppResult,
+    TextApplication,
+    Unit,
+    UnitColumns,
+    Units,
+    WorkAccount,
+    running_total,
+)
 from repro.apps.tokenize import sentences as split_sentences
 from repro.apps.tokenize import strip_markup
 
-__all__ = ["PosTaggerApplication", "tag_sentence", "CONTEXT_EXPONENT"]
+__all__ = ["PosTaggerApplication", "tag_sentence", "estimated_context_ops", "CONTEXT_EXPONENT"]
 
 #: Work for the context pass over a sentence of length L is ``L**CONTEXT_EXPONENT``
 #: (window comparisons against a history whose effective width grows with
@@ -104,6 +114,19 @@ def tag_sentence(tokens: Sequence[str]) -> tuple[list[str], float]:
     return tags, context_ops
 
 
+def estimated_context_ops(units: UnitColumns, tokens: np.ndarray) -> np.ndarray:
+    """Per-unit context work ``tokens * avg_len**(CONTEXT_EXPONENT - 1)``.
+
+    The sum over sentences of ``L**e`` is ≈ ``n_sent * avg_len**e``, i.e.
+    ``tokens * avg_len**(e - 1)``, with ``avg_len`` floored at one word.
+    The power runs per element through Python's ``**`` (the platform
+    ``pow``): ``np.power`` rounds some inputs differently.
+    """
+    e = CONTEXT_EXPONENT - 1.0
+    avg_len = np.maximum(1.0, units.avg_sentence_words).tolist()
+    return tokens * np.array([a ** e for a in avg_len], dtype=np.float64)
+
+
 class PosTaggerApplication(TextApplication):
     """Tag every token of every unit file.
 
@@ -135,19 +158,17 @@ class PosTaggerApplication(TextApplication):
         work.validate()
         return AppResult(work=work, outputs={"tag_counts": tag_counts})
 
-    def estimate_work(self, units: Iterable[UnitMeta]) -> WorkAccount:
+    def estimate_work(self, units: Units) -> WorkAccount:
         """Predict tagging work from metadata alone."""
-        work = WorkAccount()
-        for u in units:
-            tokens = u.stats.tokens_in(u.size)
-            sents = u.stats.sentences_in(u.size)
-            avg_len = max(1.0, u.stats.avg_sentence_words)
-            work.files_opened += 1
-            work.bytes_read += u.size
-            work.tokens += tokens
-            work.sentences += sents
-            # sum over sentences of L^e  ≈  n_sent * avg_len^e = tokens * avg_len^(e-1)
-            work.context_ops += tokens * avg_len ** (CONTEXT_EXPONENT - 1.0)
-            work.output_bytes += int(tokens * (u.stats.avg_word_len + 4))
+        cols = UnitColumns.of(units)
+        tokens = cols.tokens()
+        work = WorkAccount(
+            files_opened=len(cols),
+            bytes_read=int(cols.size.sum()),
+            tokens=int(tokens.sum()),
+            sentences=int(cols.sentences(tokens).sum()),
+            context_ops=running_total(estimated_context_ops(cols, tokens)),
+            output_bytes=int((tokens * (cols.avg_word_len + 4)).astype(np.int64).sum()),
+        )
         work.validate()
         return work

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Iterable
 
-from repro.apps.base import UnitMeta
-from repro.apps.postagger import CONTEXT_EXPONENT
+import numpy as np
+
+from repro.apps.base import UnitColumns, Units, running_total
+from repro.apps.postagger import estimated_context_ops
 from repro.sim.random import RngStream
 from repro.units import MB
 
@@ -85,13 +86,11 @@ class GrepCostProfile:
 
         return rng.lognormals(math.log(self.setup_median), self.setup_sigma, n)
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+    def breakdown(self, units: Units, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for processing ``units``."""
-        n_files = 0
-        n_bytes = 0
-        for u in units:
-            n_files += 1
-            n_bytes += u.size
+        cols = UnitColumns.of(units)
+        n_files = len(cols)
+        n_bytes = int(cols.size.sum())
         io = n_files * self.per_file_overhead + n_bytes / self.stream_bandwidth
         cpu = n_bytes * self.cpu_per_byte + matches * self.cpu_per_match
         return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
@@ -134,24 +133,32 @@ class PosCostProfile:
         return rng.lognormals(math.log(self.jvm_startup_median),
                               self.jvm_startup_sigma, n)
 
-    def memory_penalty(self, size: int) -> float:
-        """Working-set multiplier for a unit file of ``size`` bytes."""
-        if size <= self.mem_penalty_knee:
-            return 1.0
-        return min(self.mem_penalty_cap,
-                   1.0 + self.mem_penalty_rate * log2(size / self.mem_penalty_knee))
+    def memory_penalty(self, size: "int | np.ndarray") -> np.ndarray:
+        """Working-set multiplier per unit file of ``size`` bytes, elementwise.
 
-    def breakdown(self, units: Iterable[UnitMeta], *, matches: int = 0) -> TimeBreakdown:
+        A scalar ``size`` gives a 0-d array.  ``log2`` runs per element
+        through :func:`math.log2`: ``np.log2`` rounds some inputs differently.
+        """
+        sizes = np.asarray(size)
+        penalty = np.ones(sizes.shape)
+        over = sizes > self.mem_penalty_knee
+        logs = np.array([log2(r) for r in (sizes[over] / self.mem_penalty_knee).tolist()],
+                        dtype=np.float64)
+        penalty[over] = np.minimum(self.mem_penalty_cap,
+                                   1.0 + self.mem_penalty_rate * logs)
+        return penalty
+
+    def breakdown(self, units: Units, *, matches: int = 0) -> TimeBreakdown:
         """Reference-time split for processing ``units``."""
         # ``matches`` accepted for interface parity with the grep profile;
         # tagging cost does not depend on it.
-        io = 0.0
-        cpu = 0.0
-        for u in units:
-            tokens = u.stats.tokens_in(u.size)
-            avg_len = max(1.0, u.stats.avg_sentence_words)
-            ctx_ops = tokens * avg_len ** (CONTEXT_EXPONENT - 1.0)
-            unit_cpu = tokens * self.per_token + ctx_ops * self.per_context_op
-            cpu += unit_cpu * self.memory_penalty(u.size)
-            io += self.per_file_overhead + u.size / self.local_read_bandwidth
-        return TimeBreakdown(setup=0.0, io=io, cpu=cpu)
+        cols = UnitColumns.of(units)
+        tokens = cols.tokens()
+        unit_cpu = (tokens * self.per_token
+                    + estimated_context_ops(cols, tokens) * self.per_context_op)
+        return TimeBreakdown(
+            setup=0.0,
+            io=running_total(self.per_file_overhead
+                             + cols.size / self.local_read_bandwidth),
+            cpu=running_total(unit_cpu * self.memory_penalty(cols.size)),
+        )

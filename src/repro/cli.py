@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.obs import configure, disable, get_logger, install
+from repro.obs import ledger as obs_ledger
 from repro.obs.export import render_metrics_table, write_chrome_trace, write_jsonl
 from repro.obs.ledger import RunLedger, set_run_ledger
 from repro.report.figures import FigureResult, render_ascii
@@ -764,9 +765,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="exit 3 when any policy side violates an SLO")
     p_rslo.set_defaults(fn=cmd_runs_slo)
 
+    # Read at call time so a test session can point the default elsewhere.
+    runs_root = str(obs_ledger.DEFAULT_ROOT)
     for p in (p_rl, p_rs, p_rd, p_rslo):
-        p.add_argument("--runs-dir", default=".repro/runs", metavar="DIR",
-                       help="ledger directory (default: .repro/runs)")
+        p.add_argument("--runs-dir", default=runs_root, metavar="DIR",
+                       help=f"ledger directory (default: {runs_root})")
 
     p_tr = sub.add_parser("trace", help="run a demo with tracing enabled")
     p_tr.add_argument("demo", metavar="DEMO",
@@ -784,9 +787,9 @@ def main(argv: list[str] | None = None) -> int:
     for p in (p_fig, p_ds, p_qs, p_fl, p_ch, p_sp, p_sw, p_dag, p_mx, p_tr):
         p.add_argument("--metrics", action="store_true",
                        help="print the metrics table after the run")
-        p.add_argument("--runs-dir", default=".repro/runs", metavar="DIR",
+        p.add_argument("--runs-dir", default=runs_root, metavar="DIR",
                        help="flight-recorder ledger directory "
-                            "(default: .repro/runs)")
+                            f"(default: {runs_root})")
         p.add_argument("--no-ledger", action="store_true",
                        help="do not append run records to the ledger")
 

@@ -21,8 +21,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.apps.base import TextApplication, Unit, as_unit_meta
-from repro.apps.profiles import GrepCostProfile, PosCostProfile
+from repro.apps.base import TextApplication, Unit, UnitColumns, Units
+from repro.apps.profiles import GrepCostProfile, PosCostProfile, TimeBreakdown
 from repro.cloud.cluster import Cloud
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance, InstanceColumn
@@ -39,6 +39,11 @@ class Workload:
     name: str
     app: TextApplication
     profile: Profile
+
+    def breakdown(self, units: Units) -> TimeBreakdown:
+        """Ground-truth reference seconds for one run of ``app`` over ``units``."""
+        cols = UnitColumns.of(units)
+        return self.profile.breakdown(cols, matches=self.app.estimate_work(cols).matches)
 
 
 class ExecutionService:
@@ -73,9 +78,7 @@ class ExecutionService:
             raise ValueError(
                 f"{storage.volume_id} is not attached to {instance.instance_id}"
             )
-        meta = [as_unit_meta(u) for u in units]
-        work = workload.app.estimate_work(meta)
-        breakdown = workload.profile.breakdown(meta, matches=work.matches)
+        breakdown = workload.breakdown(units)
 
         n = self._run_counts.get(instance.instance_id, 0)
         self._run_counts[instance.instance_id] = n + 1

@@ -229,10 +229,6 @@ def derived_catalogue(
     return Catalogue(files, name=f"{source.name}->{stage.name}")
 
 
-#: Backwards-compatible alias (pre-DAG callers used the private name).
-_derived_catalogue = derived_catalogue
-
-
 @dataclass
 class WorkflowReport:
     """Per-stage execution results plus workflow-level rollups."""

@@ -96,15 +96,11 @@ class ColumnarReport:
 def _reference_vectors(workload: Workload,
                        plan: ProvisioningPlan) -> tuple[list, np.ndarray, np.ndarray]:
     """Per-occupied-bin reference (io, cpu) seconds from the ground truth."""
-    from repro.apps.base import as_unit_meta
-
     occupied = [(i, units) for i, units in enumerate(plan.assignments) if units]
     io_ref = np.empty(len(occupied))
     cpu_ref = np.empty(len(occupied))
     for row, (_, units) in enumerate(occupied):
-        meta = [as_unit_meta(u) for u in units]
-        work = workload.app.estimate_work(meta)
-        b = workload.profile.breakdown(meta, matches=work.matches)
+        b = workload.breakdown(units)
         io_ref[row] = b.io
         cpu_ref[row] = b.cpu
     return occupied, io_ref, cpu_ref
@@ -246,13 +242,9 @@ def execute_uniform_fleet(
     once and broadcast, so cost is O(n) numpy work — this is what the
     100k-instance bench drives.
     """
-    from repro.apps.base import as_unit_meta
-
     if n_instances <= 0:
         raise ValueError(f"fleet size must be positive, got {n_instances}")
-    meta = [as_unit_meta(u) for u in units]
-    work = workload.app.estimate_work(meta)
-    b = workload.profile.breakdown(meta, matches=work.matches)
+    b = workload.breakdown(units)
     io_ref = np.full(n_instances, b.io)
     cpu_ref = np.full(n_instances, b.cpu)
     column = cloud.launch_column(n_instances, itype=itype)

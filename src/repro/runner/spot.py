@@ -428,8 +428,15 @@ class SpotProgress:
                     if obs.enabled:
                         obs.metrics.counter("runner.spot.escalations",
                                             reason="launch-rejected").inc()
-                    nxt, nxt_offer = self._next_segment_instance(
-                        ctx, idx, itype, at, est_remaining)
+                    try:
+                        nxt, nxt_offer = self._next_segment_instance(
+                            ctx, idx, itype, at, est_remaining)
+                    except ChaosError as e:
+                        failed = FailedBin(
+                            bin_index=idx, reason=f"on-demand-refused: {e}",
+                            n_units=len(units), volume=volume,
+                            elapsed=elapsed)
+                        break
                     zone = nxt.zone.name
             lease = nxt_offer.lease if nxt_offer is not None else None
             ready = lease.ready_at if lease is not None else nxt.ready_at

@@ -21,7 +21,8 @@ class TextStats:
     These drive the POS tagger's work estimate without materialising bytes:
     ``avg_sentence_words`` is the paper's key complexity parameter ("average
     sentence length is an important parameter for POS tagging", §5.2) and
-    ``avg_word_len`` converts bytes to token counts.
+    ``avg_word_len`` converts bytes to token counts
+    (:meth:`repro.apps.base.UnitColumns.tokens`).
     """
 
     avg_word_len: float = 5.0
@@ -33,15 +34,6 @@ class TextStats:
             raise ValueError("text statistics must be positive")
         if not 0.0 <= self.markup_fraction < 1.0:
             raise ValueError("markup fraction must be in [0, 1)")
-
-    def tokens_in(self, n_bytes: int) -> int:
-        """Estimated token count in ``n_bytes`` of this text."""
-        text_bytes = n_bytes * (1.0 - self.markup_fraction)
-        return int(text_bytes / (self.avg_word_len + 1.0))  # +1 for separator
-
-    def sentences_in(self, n_bytes: int) -> int:
-        """Estimated sentence count in ``n_bytes`` of this text."""
-        return max(1, int(self.tokens_in(n_bytes) / self.avg_sentence_words)) if n_bytes else 0
 
 
 @dataclass(frozen=True)
@@ -128,12 +120,16 @@ class Segment:
 
     name: str
     members: tuple[VirtualFile, ...]
+    # Derived once from the members; excluded from eq, hash and repr.
+    size: int = field(init=False, repr=False, compare=False)
+    _stats: TextStats = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
+    def __post_init__(self) -> None:
         # Separator newlines between members count toward nothing in the
         # paper's accounting; keep size as the exact member sum.
-        return sum(m.size for m in self.members)
+        total = sum(m.size for m in self.members)
+        object.__setattr__(self, "size", total)
+        object.__setattr__(self, "_stats", _volume_weighted(self.members, total))
 
     @property
     def n_members(self) -> int:
@@ -141,21 +137,30 @@ class Segment:
 
     def stats(self) -> TextStats:
         """Volume-weighted aggregate statistics of the members."""
-        total = self.size
-        if total == 0:
-            return TextStats()
-        w = [m.size / total for m in self.members]
-        return TextStats(
-            avg_word_len=sum(wi * m.stats.avg_word_len for wi, m in zip(w, self.members)),
-            avg_sentence_words=sum(
-                wi * m.stats.avg_sentence_words for wi, m in zip(w, self.members)
-            ),
-            markup_fraction=sum(wi * m.stats.markup_fraction for wi, m in zip(w, self.members)),
-        )
+        return self._stats
 
     def materialize(self) -> bytes:
         """Render this unit's exact bytes."""
         return b"\n".join(m.materialize() for m in self.members) if self.members else b""
+
+
+def _volume_weighted(members: Sequence[VirtualFile], total: int) -> TextStats:
+    """Members' statistics averaged with weights ``size / total``.
+
+    Summed with the builtin :func:`sum`, whose float rounding differs
+    between Python versions (compensated from 3.12), so a segment's
+    statistics match what the interpreter's own ``sum`` gives.  Plain
+    lists beat numpy here: extracting the members' attributes dominates.
+    """
+    if total == 0:
+        return TextStats()
+    w = [m.size / total for m in members]
+    return TextStats(
+        avg_word_len=sum([wi * m.stats.avg_word_len for wi, m in zip(w, members)]),
+        avg_sentence_words=sum(
+            [wi * m.stats.avg_sentence_words for wi, m in zip(w, members)]),
+        markup_fraction=sum([wi * m.stats.markup_fraction for wi, m in zip(w, members)]),
+    )
 
 
 class Catalogue:

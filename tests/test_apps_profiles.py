@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import GrepCostProfile, PosCostProfile, TimeBreakdown, UnitMeta, as_unit_meta
+from repro.apps import GrepCostProfile, PosCostProfile, TimeBreakdown, UnitColumns, UnitMeta
 from repro.corpus import agnes_grey_like, dubliners_like
 from repro.sim.random import RngStream
 from repro.units import GB, KB, MB
@@ -102,10 +102,10 @@ class TestPosProfile:
     def test_complexity_doubles_cost_at_equal_size(self):
         """§5.2 novels: Dubliners ≈2× Agnes Grey at ≈equal word count."""
         p = PosCostProfile()
-        dub = as_unit_meta(dubliners_like().virtual_file())
-        agnes = as_unit_meta(agnes_grey_like().virtual_file())
-        t_dub = p.breakdown([dub]).cpu
-        t_agnes = p.breakdown([agnes]).cpu
+        dub = UnitColumns.of([dubliners_like().virtual_file()])
+        agnes = UnitColumns.of([agnes_grey_like().virtual_file()])
+        t_dub = p.breakdown(dub).cpu
+        t_agnes = p.breakdown(agnes).cpu
         assert 1.4 < t_dub / t_agnes < 2.4
 
     def test_jvm_startup_near_eq4_intercept(self):

@@ -15,7 +15,7 @@ from repro.apps import (
     GrepCostProfile,
     PosCostProfile,
     PosTaggerApplication,
-    as_unit_meta,
+    UnitColumns,
 )
 from repro.cloud import Cloud, ExecutionService, Workload
 from repro.corpus import html_18mil_like, text_400k_like
@@ -34,7 +34,7 @@ class TestBoundaryConsistency:
     def test_estimate_bytes_match_native_exactly(self, name, app, profile, cat):
         units = list(cat)[:15]
         native = app.run_native(units).work
-        est = app.estimate_work([as_unit_meta(u) for u in units])
+        est = app.estimate_work(UnitColumns.of(units))
         assert est.bytes_read == native.bytes_read
         assert est.files_opened == native.files_opened
 
@@ -51,15 +51,14 @@ class TestBoundaryConsistency:
         assert t_large > t_small
 
     def test_breakdown_components_nonnegative(self, name, app, profile, cat):
-        metas = [as_unit_meta(u) for u in list(cat)[:10]]
-        b = profile.breakdown(metas)
+        b = profile.breakdown(UnitColumns.of(list(cat)[:10]))
         assert b.setup >= 0 and b.io >= 0 and b.cpu >= 0
         assert b.total > 0
 
     def test_reshaping_preserves_estimated_bytes(self, name, app, profile, cat):
         plan = reshape(cat, 50 * KB)
-        est_orig = app.estimate_work([as_unit_meta(u) for u in cat])
-        est_merged = app.estimate_work([as_unit_meta(u) for u in plan.units])
+        est_orig = app.estimate_work(UnitColumns.of(cat))
+        est_merged = app.estimate_work(UnitColumns.of(plan.units))
         assert est_merged.bytes_read == est_orig.bytes_read
         assert est_merged.files_opened < est_orig.files_opened
 

@@ -10,8 +10,8 @@ from repro.apps import (
     GrepCostProfile,
     PosCostProfile,
     PosTaggerApplication,
+    UnitColumns,
     UnitMeta,
-    as_unit_meta,
 )
 from repro.cloud import Cloud, Workload
 from repro.cloud.spot import SpotMarket
@@ -84,18 +84,18 @@ class TestUnitMetaValidation:
         with pytest.raises(ValueError):
             UnitMeta(size=-1, stats=TextStats())
 
-    def test_as_unit_meta_rejects_foreign_types(self):
+    def test_unit_columns_reject_foreign_types(self):
         with pytest.raises(TypeError):
-            as_unit_meta("not a unit")
+            UnitColumns.of(["not a unit"])
 
-    def test_as_unit_meta_on_segment_aggregates(self):
+    def test_unit_columns_of_segment_aggregate(self):
         a = VirtualFile(path="a", size=100,
                         stats=TextStats(avg_sentence_words=10.0), content_seed=0)
         b = VirtualFile(path="b", size=300,
                         stats=TextStats(avg_sentence_words=30.0), content_seed=1)
-        meta = as_unit_meta(Segment("s", (a, b)))
-        assert meta.n_members == 2
-        assert meta.stats.avg_sentence_words == pytest.approx(25.0)
+        cols = UnitColumns.of([Segment("s", (a, b))])
+        assert cols.n_members[0] == 2
+        assert cols.avg_sentence_words[0] == pytest.approx(25.0)
 
 
 class TestWorkAccountValidation:

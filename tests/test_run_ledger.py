@@ -255,3 +255,22 @@ class TestRunnerEmission:
         assert len(result.run_records) == len(ledger.records())
         ids = [r.run_id for r in ledger.records()]
         assert len(ids) == len(set(ids))   # parent re-stamps unique ids
+
+
+class TestHermeticSuite:
+    def test_cli_records_land_in_tmp_not_working_tree(self, tmp_path, capsys):
+        """The autouse conftest fixture redirects the CLI's default ledger."""
+        from pathlib import Path
+
+        from repro.cli import main as cli_main
+
+        tree = Path(".repro/runs/ledger.jsonl")
+        before = tree.stat() if tree.exists() else None
+        assert cli_main(["figures", "--ids", "F2"]) == 0
+        assert len(RunLedger(tmp_path / "runs")) >= 1
+        after = tree.stat() if tree.exists() else None
+        if before is None:
+            assert after is None
+        else:
+            assert (after.st_size, after.st_mtime_ns) == (
+                before.st_size, before.st_mtime_ns)

@@ -1,6 +1,6 @@
 """Spot provisioning: ladder decisions, replay determinism, billing bounds.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * the :class:`~repro.resilience.spot.SpotLadder` walks its rungs in
   order and escalates exactly when the deadline buffer says so (white-box
@@ -9,16 +9,23 @@ Three layers of guarantees:
   bit-for-bit — reports, billing ledger, stats and the engine clock;
 * 2010 spot billing never exceeds the on-demand ceil-hour bill while the
   bid holds (a hypothesis property over random segments, plus the
-  campaign-level check on a calm cloud).
+  campaign-level check on a calm cloud);
+* a segment relaunch that capacity refuses both as spot and as on-demand
+  fails its bin with a typed ``FailedBin`` instead of raising out of the
+  run, and the bill still matches the ledger.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import FaultInjector, get_spot_regime
-from repro.cloud import Cloud, SpotMarketBoard
+from repro.apps import GrepApplication, GrepCostProfile
+from repro.chaos import FaultInjector, get_scenario, get_spot_regime
+from repro.cloud import Cloud, ExecutionService, SpotMarketBoard, Workload, acquire_good_instance
 from repro.cloud.types import LARGE, SMALL
+from repro.core import StaticProvisioner
+from repro.perfmodel import fit_affine
 from repro.resilience import (
     SpotFallbackPolicy,
     SpotLadder,
@@ -26,7 +33,8 @@ from repro.resilience import (
 )
 from repro.runner import execute_plan, execute_plan_spot
 from repro.sim.random import RngStream
-from repro.units import HOUR
+from repro.units import HOUR, MB
+from repro.vfs.files import VirtualFile
 
 
 def _flat_board(zones=("za", "zb"), mean=0.04):
@@ -202,3 +210,45 @@ class TestSpotNeverOvercharges:
             total = (spot["stats"]["spot_cost_usd"]
                      + spot["stats"]["on_demand_cost_usd"])
             assert total <= od.ledger.total_cost
+
+
+@pytest.fixture(scope="module")
+def scan_on_spot():
+    """600 scan files of 2-8 MB, their workload and a probe-fitted model."""
+    sizes = RngStream(2010, name="spot-storm").uniforms(2 * MB, 8 * MB, 600)
+    files = [VirtualFile(path=f"scan/{i:06d}.txt", size=int(s))
+             for i, s in enumerate(sizes.astype(np.int64))]
+    wl = Workload("scan", GrepApplication(),
+                  GrepCostProfile(stream_bandwidth=0.12 * MB,
+                                  per_file_overhead=0.05, cpu_per_byte=3.0e-6))
+    cloud = Cloud(seed=2010)
+    instance, _ = acquire_good_instance(cloud)
+    svc = ExecutionService(cloud)
+    xs, ys = [], []
+    for n in (5, 15, 30):
+        for _ in range(3):
+            xs.append(sum(f.size for f in files[:n]))
+            ys.append(svc.run(instance, files[:n], wl, advance_clock=False))
+    return files, wl, fit_affine(np.array(xs), np.array(ys))
+
+
+class TestEscalationUnderCapacityCrunch:
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_refused_on_demand_relaunch_fails_the_bin(self, scan_on_spot, seed):
+        """A spot relaunch rejected and then refused on-demand capacity
+        fails its bin instead of raising out of the run."""
+        files, wl, model = scan_on_spot
+        plan = StaticProvisioner(model).plan(files, 4 * HOUR, strategy="uniform",
+                                             planning_deadline=2 * HOUR)
+        chaos = FaultInjector([get_scenario("capacity-crunch"),
+                               get_spot_regime("eviction-storm").scenario(seed)],
+                              seed=seed)
+        cloud = Cloud(seed=seed, chaos=chaos)
+        result = execute_plan_spot(cloud, wl, plan,
+                                   policy=SpotFallbackPolicy(bid=0.06))
+        report = result.report
+        assert len(report.runs) + len(report.failures) == plan.n_instances
+        assert any(f.reason.startswith("on-demand-refused")
+                   for f in report.failures)
+        assert result.stats.total_cost == cloud.ledger.total_cost

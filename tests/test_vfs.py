@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import UnitColumns
 from repro.sim.random import RngStream
 from repro.vfs import Catalogue, Segment, TextStats, VirtualFile
 
@@ -14,17 +15,20 @@ def vfile(path: str, size: int, seed: int = 1, **stats) -> VirtualFile:
 
 class TestTextStats:
     def test_tokens_scale_with_bytes(self):
-        s = TextStats(avg_word_len=5.0)
-        assert s.tokens_in(6000) == 1000
+        cols = UnitColumns.of([vfile("a", 6000, avg_word_len=5.0)])
+        assert cols.tokens()[0] == 1000
 
     def test_markup_discounted(self):
-        plain = TextStats(markup_fraction=0.0)
-        html = TextStats(markup_fraction=0.5)
-        assert html.tokens_in(1000) < plain.tokens_in(1000)
+        cols = UnitColumns.of([vfile("plain", 1000, markup_fraction=0.0),
+                               vfile("html", 1000, markup_fraction=0.5)])
+        plain, html = cols.tokens()
+        assert html < plain
 
     def test_sentences_nonzero_for_nonempty(self):
-        assert TextStats().sentences_in(100) >= 1
-        assert TextStats().sentences_in(0) == 0
+        cols = UnitColumns.of([vfile("a", 100), vfile("b", 0)])
+        nonempty, empty = cols.sentences(cols.tokens())
+        assert nonempty >= 1
+        assert empty == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
