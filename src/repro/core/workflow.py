@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
@@ -28,7 +29,7 @@ from repro.perfmodel.regression import Predictor
 from repro.runner.execute import ExecutionReport
 from repro.sim.random import stable_seed
 from repro.units import HOUR
-from repro.vfs.files import Catalogue, VirtualFile
+from repro.vfs.files import Catalogue, TextStats, VirtualFile
 
 __all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError",
            "assign_subdeadlines", "derived_catalogue", "execute_workflow"]
@@ -186,46 +187,40 @@ def derived_catalogue(
     catalogues with many small files and the drift compounded per stage.
     Per-file shares use largest-remainder rounding: floor each share,
     then hand the leftover bytes to the files with the largest fractional
-    parts (ties by catalogue order).
+    parts (ties by catalogue order).  The split runs in numpy over
+    :meth:`Catalogue.sizes`; only building the kept output files loops.
     """
-    files_in = list(source)
-    target = int(source.total_size * stage.output_ratio)
-    shares = [f.size * stage.output_ratio for f in files_in]
-    sizes = [int(s) for s in shares]
-    rem = target - sum(sizes)
-    if rem and files_in:
-        n = len(files_in)
+    ratio = stage.output_ratio
+    shares = source.sizes() * ratio
+    sizes = shares.astype(np.int64)  # == int() per file: shares are >= 0
+    rem = int(source.total_size * ratio) - int(sizes.sum())
+    if rem:
+        n = len(sizes)
         # Most-underfunded first for handing out bytes; walk the same
         # ranking backwards to claw bytes back if float error overshot.
-        order = sorted(range(n), key=lambda i: sizes[i] - shares[i])
+        # The stable sort keeps ties in catalogue order.
+        order = np.argsort(sizes - shares, kind="stable")
+        if rem > 0:
+            q, r = divmod(rem, n)
+            sizes += q
+            sizes[order[:r]] += 1
         i = 0
-        while rem > 0:
-            sizes[order[i % n]] += 1
-            rem -= 1
-            i += 1
         while rem < 0:
             j = order[-1 - (i % n)]
             if sizes[j] > 0:
                 sizes[j] -= 1
                 rem += 1
             i += 1
+    strip = stage.strips_markup
     files = []
-    for f, out_size in zip(files_in, sizes):
+    for f, out_size in zip(source, sizes.tolist()):
         if out_size <= 0:
             continue
         stats = f.stats
-        if stage.strips_markup and stats.markup_fraction > 0:
-            from repro.vfs.files import TextStats
-
-            stats = TextStats(avg_word_len=stats.avg_word_len,
-                              avg_sentence_words=stats.avg_sentence_words,
-                              markup_fraction=0.0)
-        files.append(VirtualFile(
-            path=f"{stage.name}/{f.path}",
-            size=out_size,
-            stats=stats,
-            content_seed=stable_seed(f.content_seed, seed_tag),
-        ))
+        if strip and stats.markup_fraction > 0:
+            stats = TextStats(stats.avg_word_len, stats.avg_sentence_words, 0.0)
+        files.append(VirtualFile(f"{stage.name}/{f.path}", out_size, stats,
+                                 stable_seed(f.content_seed, seed_tag)))
     return Catalogue(files, name=f"{source.name}->{stage.name}")
 
 

@@ -411,12 +411,14 @@ class DagScheduler:
                       stage_end: float, work_start: float | None = None) -> None:
         """Persist output, notify successors, record the stage result."""
         st = self._states[name]
-        out = derived_catalogue(st.stage_input, st.stage, seed_tag=name)
-        self._produced[name] = out
         consumers = self.graph.successors(name)
         put_rec: TransferRecord | None = None
         available = stage_end
         if consumers:
+            # Only data successors read the output; a sink's volume is
+            # already predicted by stage_volumes, so it is never derived.
+            out = derived_catalogue(st.stage_input, st.stage, seed_tag=name)
+            self._produced[name] = out
             put_rec = self.backend.put(self.cloud, name, out.total_size,
                                        len(out))
             self._transfers.append(put_rec)

@@ -32,10 +32,10 @@ def stable_seed(parent_seed: int, name: str) -> int:
     across processes and Python versions (``PYTHONHASHSEED`` does not leak
     into results).
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(parent_seed.to_bytes(16, "little", signed=False))
-    h.update(name.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little")
+    digest = hashlib.blake2b(
+        parent_seed.to_bytes(16, "little") + name.encode(), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
 
 
 class RngStream:

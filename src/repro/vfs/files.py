@@ -264,16 +264,17 @@ class Catalogue:
         pool = [f for f in self._files if not exclude or f.path not in exclude]
         order = list(range(len(pool)))
         rng.shuffle(order)
-        picked: list[VirtualFile] = []
+        picked: list[int] = []
         acc = 0
         for i in order:
             if acc >= volume:
                 break
-            picked.append(pool[i])
+            picked.append(i)
             acc += pool[i].size
         # Restore catalogue order so downstream packing sees original order.
-        picked.sort(key=lambda f: f.path)
-        return Catalogue(picked, name=f"{self.name}[sample {volume}B]")
+        picked.sort()
+        return Catalogue([pool[i] for i in picked],
+                         name=f"{self.name}[sample {volume}B]")
 
     def filter(self, predicate) -> "Catalogue":
         """Files satisfying ``predicate`` (original order preserved)."""

@@ -173,6 +173,31 @@ class TestModes:
             assert start >= end
 
 
+class TestSinkOutput:
+    @pytest.mark.parametrize("mode", ["concurrent", "serial"])
+    @pytest.mark.parametrize("shape", [linear_pipeline, fanout_pipeline])
+    def test_only_stages_with_data_successors_derive_output(
+            self, monkeypatch, shape, mode):
+        from repro.dag import scheduler
+
+        real = scheduler.derived_catalogue
+        calls = []
+
+        def counting(source, stage, seed_tag):
+            calls.append(stage.name)
+            return real(source, stage, seed_tag=seed_tag)
+
+        monkeypatch.setattr(scheduler, "derived_catalogue", counting)
+        g = shape()
+        rep = execute_dag(Cloud(seed=11), g, html_18mil_like(scale=SCALE, seed=11),
+                          6 * HOUR, backend=S3Backend(), mode=mode)
+        producers = {p for p, _ in g.edges()}
+        assert len(producers) == 4
+        assert sorted(calls) == sorted(producers)
+        assert g.sinks() == ["aggregate"] and "aggregate" not in calls
+        assert rep.stages["aggregate"].put is None
+
+
 class TestLeasedPolicy:
     def test_leased_dag_reuses_instances_across_stages(self):
         cloud = Cloud(seed=11)

@@ -6,6 +6,7 @@ reduced scale; here the cheap ones run verbatim so a broken public API
 surfaces immediately.
 """
 
+import re
 import runpy
 from pathlib import Path
 
@@ -59,6 +60,11 @@ class TestFastExamples:
         assert "warm-pool hit rate" in out
         assert "per-tenant bill" in out
 
+    def test_dag_pipeline(self, capsys):
+        out = run_example("dag_pipeline.py", capsys)
+        assert re.search(r"^makespan .+, 9 transfers \(.+\), total \$\d+\.\d{3}$",
+                         out, re.MULTILINE)
+
 
 class TestExampleFilesExist:
     @pytest.mark.parametrize("name", [
@@ -72,6 +78,7 @@ class TestExampleFilesExist:
         "spot_fallback.py",
         "fleet_sharing.py",
         "broker_matrix.py",
+        "dag_pipeline.py",
     ])
     def test_listed_example_exists_and_has_main(self, name):
         path = EXAMPLES / name

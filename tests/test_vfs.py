@@ -136,6 +136,15 @@ class TestCatalogue:
         b = [f.path for f in c.sample_by_volume(500, RngStream(9))]
         assert a == b
 
+    def test_sample_keeps_catalogue_order_not_path_order(self):
+        c = Catalogue([VirtualFile(p, 10) for p in ("f9", "f10", "f11", "f2")])
+        s = c.sample_by_volume(c.total_size, RngStream(3))
+        assert [f.path for f in s] == ["f9", "f10", "f11", "f2"]
+        by_size = Catalogue([VirtualFile("a", 20), VirtualFile("b", 10)]
+                            ).sorted_by_size()
+        s = by_size.sample_by_volume(by_size.total_size, RngStream(3))
+        assert [f.path for f in s] == ["b", "a"]
+
     def test_partition_volumes_conserves(self):
         c = make_catalogue([10, 20, 30, 40, 50])
         parts = c.partition_volumes(3)
