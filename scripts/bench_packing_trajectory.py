@@ -179,10 +179,11 @@ def collect_spot_stats() -> dict:
     moves it like a kernel-median regression.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_spot import evaluate_spot_slos, spot_sweep
+    from repro.experiments.exp_spot import spot_sweep
+    from repro.experiments.registry import cell_records, evaluate_slos
 
     _, stats = spot_sweep()
-    slo = evaluate_spot_slos(stats)
+    slo = evaluate_slos("spot", cell_records("spot", stats))
     regimes = {
         name: {
             "on_miss_rate": cell["on"]["miss_rate"],
@@ -225,10 +226,11 @@ def collect_matrix_stats() -> dict:
     toward 1.0 like a kernel-median regression.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.experiments.exp_matrix import evaluate_matrix_slos, matrix_sweep
+    from repro.experiments.exp_matrix import matrix_sweep
+    from repro.experiments.registry import cell_records, evaluate_slos
 
     _, stats = matrix_sweep()
-    slo = evaluate_matrix_slos(stats)
+    slo = evaluate_slos("matrix", cell_records("matrix", stats))
     grid = {
         f"{g['stack']}@{g['regime']}": {
             "miss_rate": g["miss_rate"],
@@ -385,12 +387,12 @@ def collect_dag_stats() -> dict:
         DEFAULT_SEEDS,
         SCALE,
         dag_sweep,
-        evaluate_dag_slos,
     )
+    from repro.experiments.registry import cell_records, evaluate_slos
     from repro.obs.ledger import capture_runs, get_run_ledger
 
     _, stats = dag_sweep()
-    slo = evaluate_dag_slos(stats)
+    slo = evaluate_slos("dag", cell_records("dag", stats))
 
     record = None
     for _ in range(BEST_OF):

@@ -38,6 +38,14 @@ import json
 from pathlib import Path
 from typing import Callable
 
+from repro.experiments.registry import (
+    cell_records,
+    evaluate_slos,
+    get_slo_policy,
+    load_defaults,
+    slo_policy_names,
+)
+from repro.experiments.sweep import DEFAULT_SEEDS
 from repro.obs import configure, disable, get_logger, install
 from repro.obs import ledger as obs_ledger
 from repro.obs.export import render_metrics_table, write_chrome_trace, write_jsonl
@@ -219,239 +227,179 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """``chaos`` subcommand: fault-scenario sweep, resilience on/off."""
-    from repro.chaos import SCENARIOS
-    from repro.experiments.exp_chaos import DEFAULT_SEEDS, chaos_sweep
+#: ``--policy`` choice → the sweep's ``policies`` tuple (resilience on/off).
+_SIDES = {"on": (True,), "off": (False,), "both": (True, False)}
 
-    names = list(SCENARIOS) if (args.all or not args.scenarios) else args.scenarios
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        _log.error("unknown scenario(s): %s; shipped: %s",
-                   ", ".join(unknown), ", ".join(sorted(SCENARIOS)))
-        return 2
-    if args.seeds < 1:
+
+def _sweep_axes(args: argparse.Namespace, *axes: tuple) -> list | None:
+    """Resolve a sweep command's axes; check them, ``--seeds``, ``--processes``.
+
+    Each ``(noun, dest, known)`` axis takes its flag's names, else (or with
+    ``--all``) every known one.  Returns the name lists, or None after
+    logging one error line.
+    """
+    chosen = []
+    for _, dest, known in axes:
+        given = getattr(args, dest)
+        chosen.append(given if given and not getattr(args, "all", False)
+                      else list(known))
+    unknown = [v for names, (_, _, known) in zip(chosen, axes)
+               for v in names if v not in known]
+    if unknown and len(axes) == 1:
+        _log.error("unknown %s(s): %s; shipped: %s", axes[0][0],
+                   ", ".join(unknown), ", ".join(sorted(axes[0][2])))
+    elif unknown:
+        _log.error("unknown %s(s): %s; %s",
+                   "/".join(noun for noun, _, _ in axes), ", ".join(unknown),
+                   ", ".join(f"{noun}s: {', '.join(known)}"
+                             for noun, _, known in axes))
+    elif args.seeds < 1:
         _log.error("--seeds must be at least 1")
-        return 2
-    policies = {"on": (True,), "off": (False,),
-                "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)] + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    fig, stats = chaos_sweep(names, seeds=seeds, policies=policies)
+    elif getattr(args, "processes", None) is not None and args.processes < 1:
+        _log.error("--processes must be at least 1")
+    else:
+        return chosen
+    return None
+
+
+def _seed_list(n: int) -> tuple[int, ...]:
+    """The first ``n`` campaign seeds: the defaults, then +100 per wrap."""
+    k = len(DEFAULT_SEEDS)
+    return tuple(DEFAULT_SEEDS[i % k] + 100 * (i // k) for i in range(n))
+
+
+def _print_slo_tables(name: str, reports: dict) -> bool:
+    """Print one SLO table per side, sorted; True when every side passes."""
+    from repro.obs.slo import render_slo_table
+
+    for side, report in sorted(reports.items()):
+        print(f"{get_slo_policy(name).group_name}={side}")
+        print(render_slo_table(report))
+        print()
+    return all(report.ok for report in reports.values())
+
+
+def _print_sweep(args: argparse.Namespace, name: str, fig: FigureResult,
+                 stats: dict, lines: list[str]) -> int:
+    """A sweep command's output: figure, summary lines, ``--slo`` tables."""
     print(render_ascii(fig))
     print()
-    for name in names:
-        row = stats[name]
-        cells = " ".join(
-            f"{p}: miss {row[p]['miss_rate']:.3f} "
-            f"(${row[p]['mean_cost_usd']:.3f})"
-            for p in ("on", "off") if p in row)
-        print(f"{name:>16}  {cells}")
+    for line in lines:
+        print(line)
+    if getattr(args, "slo", False):
+        print()
+        _print_slo_tables(name, evaluate_slos(name, cell_records(name, stats)))
     return 0
+
+
+def _side_lines(per_name: dict, names: list, *, od: bool = False) -> list[str]:
+    """One line per name: each policy side's miss rate and mean cost."""
+    lines = []
+    for name in names:
+        row = per_name[name]
+        lines.append(f"{name:>16}  " + " ".join(
+            f"{p}: miss {row[p]['miss_rate']:.3f} "
+            f"(${row[p]['mean_cost_usd']:.3f}"
+            + (f", {row[p]['mean_cost_ratio']:.2f}x od)" if od else ")")
+            for p in ("on", "off") if p in row))
+    return lines
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """``chaos``/``sweep`` subcommands: fault scenarios × resilience on/off;
+    ``sweep`` fans the grid over processes and can dump merged metrics."""
+    from repro.chaos import SCENARIOS
+    from repro.experiments.exp_chaos import chaos_sweep
+    from repro.obs import get_obs
+    from repro.obs.ledger import encode_metrics_dump
+
+    axes = _sweep_axes(args, ("scenario", "scenarios", SCENARIOS))
+    if axes is None:
+        return 2
+    (names,) = axes
+    policies, seeds = _SIDES[args.policy], _seed_list(args.seeds)
+    fig, stats = chaos_sweep(names, seeds=seeds, policies=policies,
+                             processes=getattr(args, "processes", 1))
+    metrics_out = getattr(args, "metrics_out", None)
+    if metrics_out:
+        payload = {"schema_version": 1,
+                   "metrics": encode_metrics_dump(get_obs().metrics.dump())}
+        Path(metrics_out).write_text(
+            json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+        _log.info("wrote merged sweep metrics to %s", metrics_out)
+    lines = _side_lines(stats, names)
+    if args.command == "sweep":
+        lines.insert(0, f"{len(names) * len(policies) * len(seeds)} cells "
+                        f"({len(names)} scenarios x {len(policies)} policies "
+                        f"x {len(seeds)} seeds)")
+    return _print_sweep(args, "chaos", fig, stats, lines)
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
     """``spot`` subcommand: spot-provisioning sweep, fallback ladder on/off."""
     from repro.chaos import SPOT_REGIMES
-    from repro.experiments.exp_spot import (
-        BIDS,
-        DEFAULT_SEEDS,
-        SLACKS,
-        evaluate_spot_slos,
-        spot_sweep,
-    )
-    from repro.obs.slo import render_slo_table
+    from repro.experiments.exp_spot import BIDS, SLACKS, spot_sweep
 
-    names = (list(SPOT_REGIMES) if (args.all or not args.regimes)
-             else args.regimes)
+    axes = _sweep_axes(args, ("regime", "regimes", SPOT_REGIMES))
+    if axes is None:
+        return 2
     bids = tuple(args.bids) if args.bids else BIDS
     slacks = tuple(args.slacks) if args.slacks else SLACKS
-    unknown = [n for n in names if n not in SPOT_REGIMES]
-    if unknown:
-        _log.error("unknown regime(s): %s; shipped: %s",
-                   ", ".join(unknown), ", ".join(sorted(SPOT_REGIMES)))
-        return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
-        return 2
     if any(b <= 0 for b in bids) or any(s <= 0 for s in slacks):
         _log.error("--bids and --slacks must be positive")
         return 2
-    policies = {"on": (True,), "off": (False,),
-                "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    fig, stats = spot_sweep(names, seeds=seeds, policies=policies,
-                            bids=bids, slacks=slacks,
-                            processes=args.processes)
-    print(render_ascii(fig))
-    print()
-    for name in names:
-        row = stats["regimes"][name]
-        cells = " ".join(
-            f"{p}: miss {row[p]['miss_rate']:.3f} "
-            f"(${row[p]['mean_cost_usd']:.3f}, "
-            f"{row[p]['mean_cost_ratio']:.2f}x od)"
-            for p in ("on", "off") if p in row)
-        print(f"{name:>16}  {cells}")
-    if args.slo:
-        print()
-        for policy, report in sorted(evaluate_spot_slos(stats).items()):
-            print(f"policy={policy}")
-            print(render_slo_table(report))
-            print()
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """``sweep`` subcommand: fan an experiment grid over worker processes."""
-    from repro.chaos import SCENARIOS
-    from repro.experiments.exp_chaos import DEFAULT_SEEDS, chaos_sweep
-
-    names = list(SCENARIOS) if (args.all or not args.scenarios) else args.scenarios
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        _log.error("unknown scenario(s): %s; shipped: %s",
-                   ", ".join(unknown), ", ".join(sorted(SCENARIOS)))
-        return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
-        return 2
-    if args.processes is not None and args.processes < 1:
-        _log.error("--processes must be at least 1 (omit it to use all cores)")
-        return 2
-    policies = {"on": (True,), "off": (False,),
-                "both": (True, False)}[args.policy]
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)] + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    from repro.obs import get_obs
-    from repro.obs.ledger import encode_metrics_dump
-
-    # --metrics-out needs a live registry even when --metrics wasn't given.
-    local_obs = None
-    if args.metrics_out and not get_obs().metrics.enabled:
-        local_obs = configure(trace=False)
-    try:
-        fig, stats = chaos_sweep(names, seeds=seeds, policies=policies,
-                                 processes=args.processes)
-        if args.metrics_out:
-            registry = get_obs().metrics
-            payload = {"schema_version": 1,
-                       "metrics": encode_metrics_dump(registry.dump())}
-            Path(args.metrics_out).write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-            _log.info("wrote merged sweep metrics to %s", args.metrics_out)
-    finally:
-        if local_obs is not None:
-            disable()
-    print(render_ascii(fig))
-    print()
-    n_cells = len(names) * len(policies) * len(seeds)
-    print(f"{n_cells} cells "
-          f"({len(names)} scenarios x {len(policies)} policies x "
-          f"{len(seeds)} seeds)")
-    for name in names:
-        row = stats[name]
-        cells = " ".join(
-            f"{p}: miss {row[p]['miss_rate']:.3f} "
-            f"(${row[p]['mean_cost_usd']:.3f})"
-            for p in ("on", "off") if p in row)
-        print(f"{name:>16}  {cells}")
-    return 0
+    (names,) = axes
+    fig, stats = spot_sweep(names, seeds=_seed_list(args.seeds),
+                            policies=_SIDES[args.policy], bids=bids,
+                            slacks=slacks, processes=args.processes)
+    return _print_sweep(args, "spot", fig, stats,
+                        _side_lines(stats["regimes"], names, od=True))
 
 
 def cmd_dag(args: argparse.Namespace) -> int:
     """``dag`` subcommand: backend-comparison sweep over workflow DAGs."""
-    from repro.experiments.exp_dag import (
-        DEFAULT_SEEDS,
-        dag_sweep,
-        evaluate_dag_slos,
-    )
-    from repro.obs.slo import render_slo_table
+    from repro.experiments.exp_dag import BACKENDS, SHAPES, dag_sweep
 
-    known_backends = ("local", "s3", "ebs")
-    known_shapes = ("linear", "fanout")
-    backends = tuple(args.backends) or known_backends
-    shapes = tuple(args.shapes) or known_shapes
-    unknown = [b for b in backends if b not in known_backends]
-    unknown += [s for s in shapes if s not in known_shapes]
-    if unknown:
-        _log.error("unknown backend/shape(s): %s; backends: %s, shapes: %s",
-                   ", ".join(unknown), ", ".join(known_backends),
-                   ", ".join(known_shapes))
+    axes = _sweep_axes(args, ("backend", "backends", BACKENDS),
+                       ("shape", "shapes", SHAPES))
+    if axes is None:
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
-        return 2
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    fig, stats = dag_sweep(backends, shapes, seeds=seeds,
+    backends, shapes = axes
+    fig, stats = dag_sweep(backends, shapes, seeds=_seed_list(args.seeds),
                            processes=args.processes)
-    print(render_ascii(fig))
-    print()
-    for backend in backends:
-        cells = " ".join(
-            f"{shape}: {stats['agg'][backend][shape]['mean_makespan_s']:.0f}s "
-            f"(${stats['agg'][backend][shape]['mean_total_usd']:.3f})"
+    agg, speedup = stats["agg"], stats["speedup"]
+    return _print_sweep(args, "dag", fig, stats, [
+        f"{backend:>6}  " + " ".join(
+            f"{shape}: {agg[backend][shape]['mean_makespan_s']:.0f}s "
+            f"(${agg[backend][shape]['mean_total_usd']:.3f})"
             for shape in shapes)
-        extra = (f"  speedup x{stats['speedup'][backend]:.2f}"
-                 if backend in stats["speedup"] else "")
-        print(f"{backend:>6}  {cells}{extra}")
-    if args.slo:
-        print()
-        for backend, report in sorted(evaluate_dag_slos(stats).items()):
-            print(f"backend={backend}")
-            print(render_slo_table(report))
-            print()
-    return 0
+        + (f"  speedup x{speedup[backend]:.2f}" if backend in speedup else "")
+        for backend in backends])
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """``matrix`` subcommand: broker stack × shape × regime DAG sweep."""
     from repro.experiments.exp_matrix import (
-        DEFAULT_SEEDS,
         REGIMES,
         SHAPES,
         STACKS,
-        evaluate_matrix_slos,
         matrix_sweep,
     )
-    from repro.obs.slo import render_slo_table
 
-    stacks = tuple(args.stacks) or STACKS
-    shapes = tuple(args.shapes) or SHAPES
-    regimes = tuple(args.regimes) or REGIMES
-    unknown = [s for s in stacks if s not in STACKS]
-    unknown += [s for s in shapes if s not in SHAPES]
-    unknown += [r for r in regimes if r not in REGIMES]
-    if unknown:
-        _log.error("unknown stack/shape/regime(s): %s; stacks: %s, "
-                   "shapes: %s, regimes: %s", ", ".join(unknown),
-                   ", ".join(STACKS), ", ".join(SHAPES), ", ".join(REGIMES))
+    axes = _sweep_axes(args, ("stack", "stacks", STACKS),
+                       ("shape", "shapes", SHAPES),
+                       ("regime", "regimes", REGIMES))
+    if axes is None:
         return 2
-    if args.seeds < 1:
-        _log.error("--seeds must be at least 1")
-        return 2
-    seeds = tuple(DEFAULT_SEEDS[i % len(DEFAULT_SEEDS)]
-                  + 100 * (i // len(DEFAULT_SEEDS))
-                  for i in range(args.seeds))
-    fig, stats = matrix_sweep(list(stacks), shapes=shapes, regimes=regimes,
-                              seeds=seeds, processes=args.processes)
-    print(render_ascii(fig))
-    print()
-    for stack, agg in stats["stacks"].items():
-        print(f"{stack:>10}  miss {agg['miss_rate']:.3f}  "
-              f"cost x{agg['mean_cost_ratio']:.3f} of on-demand "
-              f"(${agg['mean_cost_usd']:.3f}/run)")
-    if args.slo:
-        print()
-        for stack, report in sorted(evaluate_matrix_slos(stats).items()):
-            print(f"stack={stack}")
-            print(render_slo_table(report))
-            print()
-    return 0
+    stacks, shapes, regimes = axes
+    fig, stats = matrix_sweep(stacks, shapes=shapes, regimes=regimes,
+                              seeds=_seed_list(args.seeds),
+                              processes=args.processes)
+    return _print_sweep(args, "matrix", fig, stats, [
+        f"{stack:>10}  miss {agg['miss_rate']:.3f}  "
+        f"cost x{agg['mean_cost_ratio']:.3f} of on-demand "
+        f"(${agg['mean_cost_usd']:.3f}/run)"
+        for stack, agg in stats["stacks"].items()])
 
 
 def _ledger_for(args: argparse.Namespace) -> RunLedger:
@@ -509,50 +457,29 @@ def cmd_runs_diff(args: argparse.Namespace) -> int:
 def cmd_runs_slo(args: argparse.Namespace) -> int:
     """``runs slo``: evaluate campaign SLOs over recorded sweep cells.
 
-    ``--policy`` names a registered campaign SLO policy — experiments
-    register theirs in :mod:`repro.experiments.registry`, so new
-    campaigns become judgeable here without touching the CLI.  An
-    unknown name exits 2 and lists what is registered.
+    ``--policy`` names a registered campaign — experiments register
+    theirs in :mod:`repro.experiments.registry`, so new campaigns become
+    judgeable here without touching the CLI.  An unknown name exits 2
+    and lists what is registered.
     """
-    from repro.experiments.registry import (
-        get_slo_policy,
-        load_defaults,
-        slo_policy_names,
-    )
-    from repro.obs.slo import render_slo_table
-
-    load_defaults()
     try:
         entry = get_slo_policy(args.policy)
     except KeyError:
         _log.error("unknown SLO policy %r; registered: %s", args.policy,
                    ", ".join(slo_policy_names()))
         return 2
-    slos = entry.slos
-    group_key, group_name = entry.group_key, entry.group_name
-
     ledger = _ledger_for(args)
-    label_prefix = entry.label_prefix
     records = [r for r in ledger.records(kind="sweep-cell",
                                          label=args.label or None)
-               if r.get(group_key) is not None
-               and (label_prefix is None or args.label
-                    or r.label.startswith(label_prefix))]
+               if r.get(entry.group_key) is not None
+               and (args.label or r.label.startswith(entry.label_prefix))]
     if not records:
+        cmds = [f"`repro {name}`" for name in slo_policy_names()]
         print(f"(no matching sweep-cell records under {ledger.root}; "
-              "run `repro chaos`, `repro sweep` or `repro dag` first)")
+              f"run {', '.join(cmds[:-1])} or {cmds[-1]} first)")
         return 0
-    sides: dict[str, list] = {}
-    for r in records:
-        sides.setdefault(str(r.get(group_key)), []).append(r)
-    failed = False
-    for side in sorted(sides):
-        report = slos.evaluate(sides[side])
-        print(f"{group_name}={side}")
-        print(render_slo_table(report))
-        print()
-        failed = failed or not report.ok
-    return 3 if args.strict and failed else 0
+    ok = _print_slo_tables(args.policy, evaluate_slos(args.policy, records))
+    return 3 if args.strict and not ok else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -582,6 +509,42 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(render_metrics_table(obs.metrics, title=f"metrics: {args.demo}"))
     return 0
+
+
+#: ``--processes`` of the campaign commands: inline unless told otherwise.
+_INLINE = (1, "worker processes for the sweep grid (default: 1 = inline)")
+
+
+def _sweep_parser(sub, name: str, fn: Callable, help: str, *axes: tuple,
+                  sides: tuple[str, str] | None = None, options: tuple = (),
+                  processes: tuple | None = None, slo: bool = False
+                  ) -> argparse.ArgumentParser:
+    """One sweep subcommand: ``axes`` are ``(flag, dest, metavar, help)``,
+    ``sides`` ``(noun, help)`` adds ``--all``/``--policy``, ``options``
+    are ``(flag, metavar, help)`` float lists, ``processes`` is the
+    ``(default, help)`` of ``--processes``."""
+    p = sub.add_parser(name, help=help)
+    for flag, dest, metavar, text in axes:
+        p.add_argument(flag, dest=dest, nargs="*", default=[],
+                       metavar=metavar, help=text)
+    if sides is not None:
+        p.add_argument("--all", action="store_true",
+                       help=f"sweep every shipped {sides[0]}")
+        p.add_argument("--policy", choices=tuple(_SIDES), default="both",
+                       help=f"{sides[1]} side(s) to run (default: both)")
+    p.add_argument("--seeds", type=int, default=3, metavar="N",
+                   help="number of campaign seeds to aggregate (default: 3)")
+    for flag, metavar, text in options:
+        p.add_argument(flag, type=float, nargs="*", metavar=metavar,
+                       default=None, help=text)
+    if processes is not None:
+        p.add_argument("--processes", type=int, default=processes[0],
+                       metavar="P", help=processes[1])
+    if slo:
+        p.add_argument("--slo", action="store_true", help="print the per-"
+                       f"{get_slo_policy(name).group_name} SLO tables")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -615,109 +578,49 @@ def main(argv: list[str] | None = None) -> int:
                            "shared-vs-isolated figure")
     p_fl.set_defaults(fn=cmd_fleet)
 
-    p_ch = sub.add_parser(
-        "chaos", help="sweep fault scenarios with resilience on/off")
-    p_ch.add_argument("--scenario", dest="scenarios", nargs="*", default=[],
-                      metavar="NAME",
-                      help="scenario names (default: all shipped scenarios)")
-    p_ch.add_argument("--all", action="store_true",
-                      help="sweep every shipped scenario")
-    p_ch.add_argument("--policy", choices=("on", "off", "both"),
-                      default="both",
-                      help="resilience policy side(s) to run (default: both)")
-    p_ch.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="number of campaign seeds to aggregate (default: 3)")
-    p_ch.set_defaults(fn=cmd_chaos)
-
-    p_sp = sub.add_parser(
-        "spot", help="sweep spot interruption regimes with the fallback "
-                     "ladder on/off")
-    p_sp.add_argument("--regime", dest="regimes", nargs="*", default=[],
-                      metavar="NAME",
-                      help="regime names (default: all shipped regimes)")
-    p_sp.add_argument("--all", action="store_true",
-                      help="sweep every shipped regime")
-    p_sp.add_argument("--policy", choices=("on", "off", "both"),
-                      default="both",
-                      help="fallback-ladder side(s) to run (default: both)")
-    p_sp.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="number of campaign seeds to aggregate (default: 3)")
-    p_sp.add_argument("--bids", type=float, nargs="*", metavar="B",
-                      default=None,
-                      help="reference-terms bid levels to sweep "
-                           "(default: 0.02 0.06 0.085)")
-    p_sp.add_argument("--slacks", type=float, nargs="*", metavar="S",
-                      default=None,
-                      help="deadline-slack multipliers to sweep "
-                           "(default: 0.85 1.0 1.25)")
-    p_sp.add_argument("--processes", type=int, default=1, metavar="P",
-                      help="worker processes for the sweep grid "
-                           "(default: 1 = inline)")
-    p_sp.add_argument("--slo", action="store_true",
-                      help="print the per-policy SLO tables")
-    p_sp.set_defaults(fn=cmd_spot)
-
-    p_sw = sub.add_parser(
-        "sweep", help="fan the chaos grid over worker processes")
-    p_sw.add_argument("--scenario", dest="scenarios", nargs="*", default=[],
-                      metavar="NAME",
-                      help="scenario names (default: all shipped scenarios)")
-    p_sw.add_argument("--all", action="store_true",
-                      help="sweep every shipped scenario")
-    p_sw.add_argument("--policy", choices=("on", "off", "both"),
-                      default="both",
-                      help="resilience policy side(s) to run (default: both)")
-    p_sw.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="number of campaign seeds to aggregate (default: 3)")
-    p_sw.add_argument("--processes", type=int, default=None, metavar="P",
-                      help="worker processes (default: all cores; 1 = inline)")
+    load_defaults()   # campaign SLO policies feed the sweep/SLO help
+    scenario = ("--scenario", "scenarios", "NAME",
+                "scenario names (default: all shipped scenarios)")
+    shape = ("--shape", "shapes", "SHAPE",
+             "DAG shapes to sweep: linear, fanout (default: both)")
+    p_ch = _sweep_parser(
+        sub, "chaos", cmd_chaos,
+        "sweep fault scenarios with resilience on/off", scenario,
+        sides=("scenario", "resilience policy"))
+    p_sp = _sweep_parser(
+        sub, "spot", cmd_spot,
+        "sweep spot interruption regimes with the fallback ladder on/off",
+        ("--regime", "regimes", "NAME",
+         "regime names (default: all shipped regimes)"),
+        sides=("regime", "fallback-ladder"), options=(
+            ("--bids", "B", "reference-terms bid levels to sweep "
+                            "(default: 0.02 0.06 0.085)"),
+            ("--slacks", "S", "deadline-slack multipliers to sweep "
+                              "(default: 0.85 1.0 1.25)")),
+        processes=_INLINE, slo=True)
+    p_sw = _sweep_parser(
+        sub, "sweep", cmd_chaos, "fan the chaos grid over worker processes",
+        scenario, sides=("scenario", "resilience policy"), processes=(
+            None, "worker processes (default: all cores; 1 = inline)"))
     p_sw.add_argument("--metrics-out", metavar="PATH", default=None,
                       help="write the merged sweep metrics dump as JSON")
-    p_sw.set_defaults(fn=cmd_sweep)
-
-    p_dag = sub.add_parser(
-        "dag", help="sweep workflow DAGs over data-sharing backends")
-    p_dag.add_argument("--backend", dest="backends", nargs="*", default=[],
-                       metavar="NAME",
-                       help="backends to sweep: local, s3, ebs "
-                            "(default: all three)")
-    p_dag.add_argument("--shape", dest="shapes", nargs="*", default=[],
-                       metavar="SHAPE",
-                       help="DAG shapes to sweep: linear, fanout "
-                            "(default: both)")
-    p_dag.add_argument("--seeds", type=int, default=3, metavar="N",
-                       help="number of campaign seeds to aggregate "
-                            "(default: 3)")
-    p_dag.add_argument("--processes", type=int, default=1, metavar="P",
-                       help="worker processes for the sweep grid "
-                            "(default: 1 = inline)")
-    p_dag.add_argument("--slo", action="store_true",
-                       help="print the per-backend SLO tables")
-    p_dag.set_defaults(fn=cmd_dag)
-
-    p_mx = sub.add_parser(
-        "matrix", help="sweep workflow DAGs over capacity broker stacks")
-    p_mx.add_argument("--stack", dest="stacks", nargs="*", default=[],
-                      metavar="NAME",
-                      help="broker stacks to sweep: fleet, spot, spot-lease "
-                           "(default: all three)")
-    p_mx.add_argument("--shape", dest="shapes", nargs="*", default=[],
-                      metavar="SHAPE",
-                      help="DAG shapes to sweep: linear, fanout "
-                           "(default: both)")
-    p_mx.add_argument("--regime", dest="regimes", nargs="*", default=[],
-                      metavar="REGIME",
-                      help="spot interruption regimes: calm, choppy, "
-                           "eviction-storm (default: all three)")
-    p_mx.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="number of campaign seeds to aggregate "
-                           "(default: 3)")
-    p_mx.add_argument("--processes", type=int, default=1, metavar="P",
-                      help="worker processes for the sweep grid "
-                           "(default: 1 = inline)")
-    p_mx.add_argument("--slo", action="store_true",
-                      help="print the per-stack SLO tables")
-    p_mx.set_defaults(fn=cmd_matrix)
+    p_dag = _sweep_parser(
+        sub, "dag", cmd_dag,
+        "sweep workflow DAGs over data-sharing backends",
+        ("--backend", "backends", "NAME",
+         "backends to sweep: local, s3, ebs (default: all three)"),
+        shape, processes=_INLINE, slo=True)
+    p_mx = _sweep_parser(
+        sub, "matrix", cmd_matrix,
+        "sweep workflow DAGs over capacity broker stacks",
+        ("--stack", "stacks", "NAME",
+         "broker stacks to sweep: fleet, spot, spot-lease "
+         "(default: all three)"),
+        shape,
+        ("--regime", "regimes", "REGIME",
+         "spot interruption regimes: calm, choppy, eviction-storm "
+         "(default: all three)"),
+        processes=_INLINE, slo=True)
 
     p_runs = sub.add_parser(
         "runs", help="query the persistent flight-recorder ledger")
@@ -753,14 +656,16 @@ def main(argv: list[str] | None = None) -> int:
                            "regression exceeds the threshold")
     p_rd.set_defaults(fn=cmd_runs_diff)
 
+    campaigns = ", ".join(slo_policy_names())
     p_rslo = runs_sub.add_parser(
-        "slo", help="evaluate chaos SLOs over recorded sweep cells")
+        "slo", help=f"evaluate campaign SLOs ({campaigns}) over recorded "
+                    "sweep cells")
     p_rslo.add_argument("--label", default=None, metavar="LABEL",
                         help="only records with this label")
     p_rslo.add_argument("--policy", default="chaos", metavar="NAME",
                         help="registered SLO policy to evaluate (default: "
-                             "chaos; e.g. chaos, dag, spot, matrix — an "
-                             "unknown name lists what is registered)")
+                             f"chaos; one of {campaigns} — an unknown name "
+                             "lists what is registered)")
     p_rslo.add_argument("--strict", action="store_true",
                         help="exit 3 when any policy side violates an SLO")
     p_rslo.set_defaults(fn=cmd_runs_slo)
@@ -811,8 +716,9 @@ def main(argv: list[str] | None = None) -> int:
         # --metrics is requested.
         if args.fn in (cmd_trace, cmd_fleet):
             return _dispatch(args)
-        obs = (configure(trace=False)
-               if getattr(args, "metrics", False) else None)
+        # --metrics-out needs a live registry even without --metrics.
+        obs = (configure(trace=False) if getattr(args, "metrics", False)
+               or getattr(args, "metrics_out", None) else None)
         try:
             return _dispatch(args)
         finally:

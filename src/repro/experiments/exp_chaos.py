@@ -33,9 +33,18 @@ from repro.chaos import FaultInjector, get_scenario
 from repro.cloud import Cloud, Workload
 from repro.core import StaticProvisioner, reshape
 from repro.corpus import text_400k_like
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    deadline_outcome,
+    finish_sweep,
+    plot_groups,
+    run_grid,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.slo import Objective, SloPolicy
 from repro.perfmodel.regression import fit_affine
 from repro.report.figures import FigureResult
 from repro.resilience import (
@@ -47,13 +56,9 @@ from repro.resilience import (
 from repro.runner import DynamicPolicy, execute_plan, execute_with_monitoring
 from repro.units import HOUR, KB, MB
 
-__all__ = ["run_cell", "chaos_sweep", "DEFAULT_SEEDS",
-           "CHAOS_SLOS", "evaluate_chaos_slos"]
+__all__ = ["run_cell", "chaos_sweep", "DEFAULT_SEEDS", "CHAOS_SLOS"]
 
 _log = get_logger("experiments.chaos")
-
-#: Campaign seeds the sweep aggregates over.
-DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 47)
 
 #: User deadline and the tighter deadline the plan is packed against; the
 #: difference is the slack that absorbs boots, retries, and retrieval.
@@ -74,36 +79,6 @@ CHAOS_SLOS = SloPolicy("chaos-campaign", (
               num="deadline.missed", den="deadline.bins"),
     Objective("mean-cost", "billing.cost_usd", "<=", 2.00, aggregate="mean"),
 ))
-
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per policy side, in scenario-then-seed order."""
-    records: dict[str, list[RunRecord]] = {}
-    for name, per_policy in stats.items():
-        for policy, agg in per_policy.items():
-            for cell in agg["cells"]:
-                records.setdefault(policy, []).append(RunRecord(
-                    kind="sweep-cell",
-                    label=f"exp_chaos.{name}.{policy}",
-                    config={"scenario": name, "policy": policy,
-                            "seed": cell["seed"]},
-                    billing={"cost_usd": cell["cost_usd"]},
-                    deadline={"missed": cell["missed"],
-                              "failed": cell["failed"],
-                              "bins": cell["bins"],
-                              "miss_rate": cell["miss_rate"]},
-                    extra={"replaced": cell["replaced"],
-                           "retrieval_s": cell["retrieval_s"],
-                           "faults_injected": cell["faults_injected"]},
-                ))
-    return records
-
-
-def evaluate_chaos_slos(stats: dict, *,
-                        slos: SloPolicy = CHAOS_SLOS) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per policy side over a sweep's stats."""
-    return {policy: slos.evaluate(records)
-            for policy, records in _cell_records(stats).items()}
 
 
 def _workload() -> Workload:
@@ -220,11 +195,8 @@ def run_cell(scenario_name: str, *, resilience: bool, seed: int = 11) -> dict:
         "scenario": scenario_name,
         "policy": "on" if resilience else "off",
         "seed": seed,
-        "bins": total_bins,
-        "missed": missed,
-        "failed": n_failed,
+        **deadline_outcome(total_bins, missed, n_failed),
         "replaced": n_replaced,
-        "miss_rate": round(missed / total_bins, 4) if total_bins else 0.0,
         "cost_usd": round(cloud.ledger.total_cost, 4),
         "retrieval_s": round(retrieval_total, 1),
         "faults_injected": injector.fault_counts(),
@@ -253,94 +225,54 @@ def chaos_sweep(
     Results are bit-identical either way — each cell seeds its own cloud.
     """
     from repro.chaos import SCENARIOS
-    from repro.experiments.sweep import Cell, run_sweep
 
     names = list(SCENARIOS) if names is None else names
-    grid = [
+    by_tag = run_grid([
         Cell("repro.experiments.exp_chaos:run_cell",
              {"scenario_name": name, "resilience": resilience, "seed": seed},
              tag=(name, resilience))
         for name in names
         for resilience in policies
         for seed in seeds
-    ]
-    from repro.obs import get_obs
-
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    ], processes)
 
     stats: dict = {}
     for name in names:
-        per_policy: dict = {}
-        for resilience in policies:
-            cells = by_tag[(name, resilience)]
-            bins = sum(c["bins"] for c in cells)
-            missed = sum(c["missed"] for c in cells)
-            per_policy["on" if resilience else "off"] = {
-                "miss_rate": round(missed / bins, 4) if bins else 0.0,
-                "missed": missed,
-                "bins": bins,
-                "mean_cost_usd": round(
-                    sum(c["cost_usd"] for c in cells) / len(cells), 4),
-                "cells": cells,
-            }
-        stats[name] = per_policy
-        row = {p: per_policy[p]["miss_rate"] for p in per_policy}
-        _log.info("chaos %-16s miss %s", name,
-                  " ".join(f"{p}={r:.3f}" for p, r in row.items()))
+        stats[name] = {"on" if resilience else "off":
+                       aggregate(by_tag[(name, resilience)])
+                       for resilience in policies}
+        _log.info("chaos %-16s miss %s", name, " ".join(
+            f"{p}={agg['miss_rate']:.3f}" for p, agg in stats[name].items()))
 
     fig = FigureResult(
         "Chaos", "deadline miss rate under injected faults: "
         "resilience on vs off")
-    for metric, key in (("miss rate", "miss_rate"),
-                        ("mean cost (USD)", "mean_cost_usd")):
-        for policy in ("on", "off"):
-            rows = [(n, stats[n][policy][key]) for n in names
-                    if policy in stats[n]]
-            if rows:
-                fig.add(f"{metric} [{policy}]",
-                        [n for n, _ in rows], [float(v) for _, v in rows])
-    on_rates = [stats[n]["on"]["miss_rate"] for n in names
-                if "on" in stats[n]]
-    off_rates = [stats[n]["off"]["miss_rate"] for n in names
-                 if "off" in stats[n]]
-    if on_rates and off_rates:
-        fig.note(f"resilience-on worst miss {max(on_rates):.3f}; "
-                 f"resilience-off worst miss {max(off_rates):.3f} "
+    worst = plot_groups(
+        fig, (("miss rate", "miss_rate"),
+              ("mean cost (USD)", "mean_cost_usd")),
+        [(p, [(n, stats[n][p]) for n in names if p in stats[n]])
+         for p in ("on", "off")])
+    if len(worst) == 2:
+        fig.note(f"resilience-on worst miss {worst['on']:.3f}; "
+                 f"resilience-off worst miss {worst['off']:.3f} "
                  f"over {len(names)} scenarios x {len(seeds)} seeds")
 
-    # Flight recorder + SLOs: every cell becomes a ledger record, and the
-    # declared campaign objectives are judged per policy side — the
-    # experiment-level record carries the verdicts.
-    slo_reports = evaluate_chaos_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
-    record_experiment(
-        "exp_chaos",
+    finish_sweep(
+        "chaos", stats,
         config={"scenarios": names, "seeds": list(seeds),
                 "policies": ["on" if p else "off" for p in policies]},
-        extra={
-            "slo": {p: r.to_dict() for p, r in slo_reports.items()},
-            "worst_miss": {p: max((stats[n][p]["miss_rate"] for n in names
-                                   if p in stats[n]), default=0.0)
-                           for p in ("on", "off")},
-        },
+        extra={"worst_miss": {p: worst.get(p, 0.0) for p in ("on", "off")}},
     )
     return fig, stats
 
 
-# CLI resolution: `repro runs slo --policy chaos` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("chaos", slos=CHAOS_SLOS, group_key="config.policy",
-                    group_name="policy", label_prefix="exp_chaos.")
+# `repro runs slo --policy chaos` and the sweep's own records resolve this.
+register_slo_policy(
+    "chaos", slos=CHAOS_SLOS, group_key="config.policy",
+    label_keys=("scenario", "policy"),
+    config_keys=("scenario", "policy", "seed"),
+    extra_keys=("replaced", "retrieval_s", "faults_injected"),
+    cost_key="cost_usd",
+    cells=lambda stats: [cell for per_policy in stats.values()
+                         for agg in per_policy.values()
+                         for cell in agg["cells"]])

@@ -29,20 +29,25 @@ from repro.dag import (
     fanout_pipeline,
     linear_pipeline,
 )
-from repro.dag.scheduler import DagScheduler
+from repro.dag.scheduler import DagReport, DagScheduler
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    deadline_outcome,
+    finish_sweep,
+    run_grid,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 from repro.units import HOUR
 
-__all__ = ["run_cell", "dag_sweep", "DEFAULT_SEEDS",
-           "DAG_SLOS", "evaluate_dag_slos"]
+__all__ = ["run_cell", "dag_sweep", "DEFAULT_SEEDS", "BACKENDS", "SHAPES",
+           "DAG_SLOS"]
 
 _log = get_logger("experiments.dag")
-
-#: Campaign seeds the sweep aggregates over.
-DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 47)
 
 #: User deadline for the whole workflow (apportioned per stage).
 DEADLINE = 6 * HOUR
@@ -58,8 +63,9 @@ DAG_SLOS = SloPolicy("dag-campaign", (
               num="deadline.missed", den="deadline.bins"),
 ))
 
-_BACKENDS = ("local", "s3", "ebs")
-_SHAPES = ("linear", "fanout")
+#: Inter-stage data-sharing backends and DAG shapes the sweep covers.
+BACKENDS: tuple[str, ...] = ("local", "s3", "ebs")
+SHAPES: tuple[str, ...] = ("linear", "fanout")
 
 
 def _backend(name: str) -> DataBackend:
@@ -80,27 +86,27 @@ def _graph(shape: str) -> WorkflowGraph:
         raise ValueError(f"unknown shape {shape!r}") from None
 
 
+def _run_dag(cloud: Cloud, shape: str, seed: int, **options) -> DagReport:
+    """The ``shape`` DAG over the seed's crawl against the campaign
+    deadline on ``cloud``; ``options`` go to the scheduler."""
+    return DagScheduler(cloud, _graph(shape),
+                        html_18mil_like(scale=SCALE, seed=seed), DEADLINE,
+                        **options).run()
+
+
 def run_cell(backend: str = "local", shape: str = "linear", *,
              seed: int = 11, mode: str = "concurrent") -> dict:
     """Run one (backend, shape, seed, mode) cell; returns the outcome dict."""
-    cloud = Cloud(seed=seed)
-    catalogue = html_18mil_like(scale=SCALE, seed=seed)
-    report = DagScheduler(
-        cloud, _graph(shape), catalogue, DEADLINE,
-        backend=_backend(backend), mode=mode,
-        label=f"dag.{backend}.{shape}.{mode}",
-    ).run()
+    report = _run_dag(Cloud(seed=seed), shape, seed,
+                      backend=_backend(backend), mode=mode,
+                      label=f"dag.{backend}.{shape}.{mode}")
     return {
         "backend": backend,
         "shape": shape,
         "mode": mode,
         "seed": seed,
         "stages": len(report.stages),
-        "bins": report.n_bins,
-        "missed": report.n_missed,
-        "failed": report.n_failed,
-        "miss_rate": (round(report.n_missed / report.n_bins, 4)
-                      if report.n_bins else 0.0),
+        **deadline_outcome(report.n_bins, report.n_missed, report.n_failed),
         "makespan_s": round(report.makespan, 1),
         "met": report.met_deadline,
         "transfer_s": round(report.transfer_seconds, 1),
@@ -110,37 +116,9 @@ def run_cell(backend: str = "local", shape: str = "linear", *,
     }
 
 
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per backend, concurrent cells only."""
-    records: dict[str, list[RunRecord]] = {}
-    for cell in stats["cells"]:
-        if cell["mode"] != "concurrent":
-            continue
-        records.setdefault(cell["backend"], []).append(RunRecord(
-            kind="sweep-cell",
-            label=f"exp_dag.{cell['backend']}.{cell['shape']}",
-            config={"backend": cell["backend"], "shape": cell["shape"],
-                    "seed": cell["seed"], "mode": cell["mode"]},
-            billing={"cost_usd": cell["total_usd"]},
-            deadline={"missed": cell["missed"], "failed": cell["failed"],
-                      "bins": cell["bins"], "miss_rate": cell["miss_rate"]},
-            extra={"makespan_s": cell["makespan_s"],
-                   "transfer_s": cell["transfer_s"],
-                   "transfer_usd": cell["transfer_usd"]},
-        ))
-    return records
-
-
-def evaluate_dag_slos(stats: dict, *,
-                      slos: SloPolicy = DAG_SLOS) -> dict[str, SloReport]:
-    """Evaluate the workflow SLOs per backend over a sweep's stats."""
-    return {backend: slos.evaluate(records)
-            for backend, records in _cell_records(stats).items()}
-
-
 def dag_sweep(
-    backends: tuple[str, ...] = _BACKENDS,
-    shapes: tuple[str, ...] = _SHAPES,
+    backends: tuple[str, ...] = BACKENDS,
+    shapes: tuple[str, ...] = SHAPES,
     *,
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     processes: int | None = 1,
@@ -155,10 +133,7 @@ def dag_sweep(
     harness (``processes=None`` uses every core; results are
     bit-identical either way).
     """
-    from repro.experiments.sweep import Cell, run_sweep
-    from repro.obs import get_obs
-
-    grid = [
+    by_tag = run_grid([
         Cell("repro.experiments.exp_dag:run_cell",
              {"backend": backend, "shape": shape, "seed": seed,
               "mode": mode},
@@ -168,14 +143,7 @@ def dag_sweep(
         for seed in seeds
         for mode in (("concurrent", "serial") if shape == "fanout"
                      else ("concurrent",))
-    ]
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    ], processes)
 
     def _mean(cells: list[dict], key: str) -> float:
         return sum(c[key] for c in cells) / len(cells)
@@ -186,13 +154,12 @@ def dag_sweep(
         agg[backend] = {}
         for shape in shapes:
             cells = by_tag[(backend, shape, "concurrent")]
+            campaign = aggregate(cells, "total_usd")
             agg[backend][shape] = {
                 "mean_makespan_s": round(_mean(cells, "makespan_s"), 1),
-                "mean_total_usd": round(_mean(cells, "total_usd"), 4),
+                "mean_total_usd": campaign["mean_cost_usd"],
                 "mean_transfer_s": round(_mean(cells, "transfer_s"), 1),
-                "miss_rate": round(
-                    sum(c["missed"] for c in cells)
-                    / max(1, sum(c["bins"] for c in cells)), 4),
+                "miss_rate": campaign["miss_rate"],
             }
         serial = by_tag.get((backend, "fanout", "serial"))
         if serial and "fanout" in agg[backend]:
@@ -219,30 +186,24 @@ def dag_sweep(
         fig.note("stage-concurrent vs serial on the fan-out DAG: "
                  + ", ".join(f"{b} {s:.2f}x" for b, s in speedup.items()))
 
-    slo_reports = evaluate_dag_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
-    record_experiment(
-        "exp_dag",
+    finish_sweep(
+        "dag", stats,
         config={"backends": list(backends), "shapes": list(shapes),
                 "seeds": list(seeds), "deadline_s": DEADLINE,
                 "scale": SCALE},
-        extra={
-            "slo": {b: r.to_dict() for b, r in slo_reports.items()},
-            "agg": agg,
-            "speedup": speedup,
-        },
+        extra={"agg": agg, "speedup": speedup},
     )
     return fig, stats
 
 
-# CLI resolution: `repro runs slo --policy dag` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("dag", slos=DAG_SLOS, group_key="config.backend",
-                    group_name="backend")
+# `repro runs slo --policy dag` and the sweep's own records resolve this;
+# only concurrent-mode cells become records (the serial fan-out runs are
+# the speedup baseline, not part of the campaign).
+register_slo_policy(
+    "dag", slos=DAG_SLOS, group_key="config.backend",
+    label_keys=("backend", "shape"),
+    config_keys=("backend", "shape", "seed", "mode"),
+    extra_keys=("makespan_s", "transfer_s", "transfer_usd"),
+    cost_key="total_usd",
+    cells=lambda stats: [cell for cell in stats["cells"]
+                         if cell["mode"] == "concurrent"])

@@ -26,18 +26,25 @@ from functools import lru_cache
 
 from repro.chaos import FaultInjector, get_spot_regime
 from repro.cloud import Cloud
-from repro.corpus import html_18mil_like
 from repro.dag import S3Backend
-from repro.dag.scheduler import DagScheduler
-from repro.experiments.exp_chaos import DEFAULT_SEEDS
-from repro.experiments.exp_dag import DEADLINE, SCALE, _graph
+from repro.experiments.exp_dag import _run_dag
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    deadline_outcome,
+    finish_sweep,
+    plot_groups,
+    run_grid,
+    surface_row,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 
 __all__ = ["run_cell", "matrix_sweep", "DEFAULT_SEEDS", "STACKS", "SHAPES",
-           "REGIMES", "MATRIX_SLOS", "evaluate_matrix_slos"]
+           "REGIMES", "MATRIX_SLOS"]
 
 _log = get_logger("experiments.matrix")
 
@@ -69,13 +76,9 @@ MATRIX_SLOS = SloPolicy("matrix-campaign", (
 @lru_cache(maxsize=16)
 def _on_demand_baseline(shape: str, seed: int) -> float:
     """On-demand counterfactual bill: same DAG, clean cloud, fleet policy."""
-    report = DagScheduler(
-        Cloud(seed=seed), _graph(shape),
-        html_18mil_like(scale=SCALE, seed=seed), DEADLINE,
-        backend=S3Backend(), policy="fleet",
-        label=f"matrix.baseline.{shape}",
-    ).run()
-    return report.total_cost
+    return _run_dag(Cloud(seed=seed), shape, seed, backend=S3Backend(),
+                    policy="fleet",
+                    label=f"matrix.baseline.{shape}").total_cost
 
 
 def run_cell(stack: str = "fleet", shape: str = "linear",
@@ -86,11 +89,8 @@ def run_cell(stack: str = "fleet", shape: str = "linear",
     regime = get_spot_regime(regime_name)
     injector = FaultInjector([regime.scenario(seed)], seed=seed)
     cloud = Cloud(seed=seed, chaos=injector)
-    report = DagScheduler(
-        cloud, _graph(shape), html_18mil_like(scale=SCALE, seed=seed),
-        DEADLINE, backend=S3Backend(), policy=stack,
-        label=f"matrix.{stack}.{shape}.{regime_name}",
-    ).run()
+    report = _run_dag(cloud, shape, seed, backend=S3Backend(), policy=stack,
+                      label=f"matrix.{stack}.{shape}.{regime_name}")
     baseline = _on_demand_baseline(shape, seed)
     spot = report.spot_stats or {}
     leases = report.lease_stats or {}
@@ -99,11 +99,7 @@ def run_cell(stack: str = "fleet", shape: str = "linear",
         "shape": shape,
         "regime": regime_name,
         "seed": seed,
-        "bins": report.n_bins,
-        "missed": report.n_missed,
-        "failed": report.n_failed,
-        "miss_rate": (round(report.n_missed / report.n_bins, 4)
-                      if report.n_bins else 0.0),
+        **deadline_outcome(report.n_bins, report.n_missed, report.n_failed),
         "makespan_s": round(report.makespan, 1),
         "met": report.met_deadline,
         "total_usd": round(report.total_cost, 4),
@@ -115,54 +111,6 @@ def run_cell(stack: str = "fleet", shape: str = "linear",
         "pool_hits": leases.get("pool_hits", 0),
         "faults_injected": injector.fault_counts(),
     }
-
-
-def _aggregate(cells: list[dict]) -> dict:
-    """Miss rate over all cells' bins plus mean cost ratio."""
-    bins = sum(c["bins"] for c in cells)
-    missed = sum(c["missed"] for c in cells)
-    return {
-        "miss_rate": round(missed / bins, 4) if bins else 0.0,
-        "missed": missed,
-        "bins": bins,
-        "mean_cost_usd": round(
-            sum(c["total_usd"] for c in cells) / len(cells), 4),
-        "mean_cost_ratio": round(
-            sum(c["cost_ratio"] for c in cells) / len(cells), 4),
-        "cells": cells,
-    }
-
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Cell-level run records per broker stack."""
-    records: dict[str, list[RunRecord]] = {}
-    for stack, agg in stats["stacks"].items():
-        for cell in agg["cells"]:
-            records.setdefault(stack, []).append(RunRecord(
-                kind="sweep-cell",
-                label=f"exp_matrix.{stack}.{cell['regime']}",
-                config={"stack": stack, "shape": cell["shape"],
-                        "regime": cell["regime"], "seed": cell["seed"]},
-                billing={"cost_usd": cell["total_usd"]},
-                deadline={"missed": cell["missed"],
-                          "failed": cell["failed"],
-                          "bins": cell["bins"],
-                          "miss_rate": cell["miss_rate"]},
-                extra={"cost_ratio": cell["cost_ratio"],
-                       "interruptions": cell["interruptions"],
-                       "escalations": cell["escalations"],
-                       "pool_hits": cell["pool_hits"],
-                       "faults_injected": cell["faults_injected"]},
-            ))
-    return records
-
-
-def evaluate_matrix_slos(stats: dict, *,
-                         slos: SloPolicy = MATRIX_SLOS
-                         ) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per broker stack over a sweep's stats."""
-    return {stack: slos.evaluate(records)
-            for stack, records in _cell_records(stats).items()}
 
 
 def matrix_sweep(
@@ -182,25 +130,17 @@ def matrix_sweep(
     :mod:`~repro.experiments.sweep` harness, bit-identical at any
     process count.
     """
-    from repro.experiments.sweep import Cell, run_sweep
-    from repro.obs import get_obs
-
     names = list(STACKS) if stacks is None else stacks
-    grid = [Cell("repro.experiments.exp_matrix:run_cell",
-                 {"stack": stack, "shape": shape, "regime_name": regime,
-                  "seed": seed},
-                 tag=(stack, regime))
-            for stack in names
-            for shape in shapes
-            for regime in regimes
-            for seed in seeds]
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    by_tag = run_grid([
+        Cell("repro.experiments.exp_matrix:run_cell",
+             {"stack": stack, "shape": shape, "regime_name": regime,
+              "seed": seed},
+             tag=(stack, regime))
+        for stack in names
+        for shape in shapes
+        for regime in regimes
+        for seed in seeds
+    ], processes)
 
     stats: dict = {"stacks": {}, "grid": []}
     for stack in names:
@@ -208,18 +148,11 @@ def matrix_sweep(
                  for row in rows]
         if not cells:
             continue
-        stats["stacks"][stack] = _aggregate(cells)
-        for regime in regimes:
-            sub = by_tag.get((stack, regime))
-            if not sub:
-                continue
-            agg = _aggregate(sub)
-            stats["grid"].append({
-                "stack": stack, "regime": regime,
-                "miss_rate": agg["miss_rate"],
-                "mean_cost_usd": agg["mean_cost_usd"],
-                "mean_cost_ratio": agg["mean_cost_ratio"],
-            })
+        stats["stacks"][stack] = aggregate(cells, "total_usd")
+        stats["grid"] += [
+            surface_row(by_tag[(stack, regime)], "total_usd", stack=stack,
+                        regime=regime)
+            for regime in regimes if by_tag.get((stack, regime))]
         _log.info("matrix %-10s miss %.3f cost-ratio %.3f", stack,
                   stats["stacks"][stack]["miss_rate"],
                   stats["stacks"][stack]["mean_cost_ratio"])
@@ -227,14 +160,11 @@ def matrix_sweep(
     fig = FigureResult(
         "Matrix", "DAG campaigns per broker stack: deadline misses and "
         "cost vs on-demand under spot interruption regimes")
-    for metric, key in (("miss rate", "miss_rate"),
-                        ("cost vs on-demand", "mean_cost_ratio")):
-        for stack in names:
-            rows = [(g["regime"], g[key]) for g in stats["grid"]
-                    if g["stack"] == stack]
-            if rows:
-                fig.add(f"{metric} [{stack}]",
-                        [r for r, _ in rows], [float(v) for _, v in rows])
+    worst = plot_groups(
+        fig, (("miss rate", "miss_rate"),
+              ("cost vs on-demand", "mean_cost_ratio")),
+        [(s, [(g["regime"], g) for g in stats["grid"] if g["stack"] == s])
+         for s in names])
     spot_ratios = [g["mean_cost_ratio"] for g in stats["grid"]
                    if g["stack"] in ("spot", "spot-lease")]
     if spot_ratios:
@@ -243,25 +173,12 @@ def matrix_sweep(
                  f"{len(regimes)} regimes x {len(shapes)} shapes x "
                  f"{len(seeds)} seeds")
 
-    # Flight recorder + SLOs: cells become ledger records; the declared
-    # objectives are judged per stack; the roll-up row is kind="matrix".
-    slo_reports = evaluate_matrix_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
-    record_experiment(
-        "exp_matrix", kind="matrix",
+    finish_sweep(
+        "matrix", stats, kind="matrix",
         config={"stacks": names, "shapes": list(shapes),
                 "regimes": list(regimes), "seeds": list(seeds)},
         extra={
-            "slo": {s: r.to_dict() for s, r in slo_reports.items()},
-            "worst_miss": {s: max((g["miss_rate"] for g in stats["grid"]
-                                   if g["stack"] == s), default=0.0)
-                           for s in names},
+            "worst_miss": {s: worst.get(s, 0.0) for s in names},
             "cost_ratio_vs_on_demand": {
                 s: stats["stacks"][s]["mean_cost_ratio"]
                 for s in stats["stacks"]},
@@ -270,8 +187,14 @@ def matrix_sweep(
     return fig, stats
 
 
-# CLI resolution: `repro runs slo --policy matrix` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("matrix", slos=MATRIX_SLOS, group_key="config.stack",
-                    group_name="stack", label_prefix="exp_matrix.")
+# `repro runs slo --policy matrix` and the sweep's own records resolve
+# this; records go per stack in tag order — regime, then shape, then seed.
+register_slo_policy(
+    "matrix", slos=MATRIX_SLOS, group_key="config.stack",
+    label_keys=("stack", "regime"),
+    config_keys=("stack", "shape", "regime", "seed"),
+    extra_keys=("cost_ratio", "interruptions", "escalations", "pool_hits",
+                "faults_injected"),
+    cost_key="total_usd",
+    cells=lambda stats: [cell for agg in stats["stacks"].values()
+                         for cell in agg["cells"]])

@@ -37,16 +37,26 @@ from functools import lru_cache
 
 from repro.chaos import FaultInjector, get_spot_regime
 from repro.cloud import Cloud
-from repro.experiments.exp_chaos import DEFAULT_SEEDS, _campaign
+from repro.experiments.exp_chaos import _campaign
+from repro.experiments.registry import register_slo_policy
+from repro.experiments.sweep import (
+    DEFAULT_SEEDS,
+    Cell,
+    aggregate,
+    deadline_outcome,
+    finish_sweep,
+    plot_groups,
+    run_grid,
+    surface_row,
+)
 from repro.obs import get_logger
-from repro.obs.ledger import RunRecord, get_run_ledger, record_experiment
-from repro.obs.slo import Objective, SloPolicy, SloReport, render_slo_table
+from repro.obs.slo import Objective, SloPolicy
 from repro.report.figures import FigureResult
 from repro.resilience import SpotFallbackPolicy
 from repro.runner import execute_plan, execute_plan_spot
 
 __all__ = ["run_cell", "spot_sweep", "DEFAULT_SEEDS", "BIDS", "SLACKS",
-           "DEFAULT_BID", "DEFAULT_SLACK", "SPOT_SLOS", "evaluate_spot_slos"]
+           "DEFAULT_BID", "DEFAULT_SLACK", "SPOT_SLOS"]
 
 _log = get_logger("experiments.spot")
 
@@ -79,20 +89,16 @@ SPOT_SLOS = SloPolicy("spot-campaign", (
 
 
 @lru_cache(maxsize=8)
-def _on_demand_baseline(seed: int) -> tuple[float, tuple[float, ...]]:
-    """Pure on-demand counterfactual for one seed: ``(cost, durations)``.
+def _on_demand_baseline(seed: int) -> float:
+    """Pure on-demand counterfactual bill for one seed.
 
     The same cached plan executed by :func:`~repro.runner.execute
     .execute_plan` on a clean same-seed cloud — the §5 regime the paper
-    actually ran.  Returns the total ceil-hour bill and each bin's
-    ``boot_delay + duration`` so callers can re-judge misses under any
-    slack level.
+    actually ran; returns its total ceil-hour bill.
     """
     cloud = Cloud(seed=seed)
-    wl, plan = _campaign(seed)
-    report = execute_plan(cloud, wl, plan)
-    durations = tuple(r.boot_delay + r.duration for r in report.runs)
-    return cloud.ledger.total_cost, durations
+    execute_plan(cloud, *_campaign(seed))
+    return cloud.ledger.total_cost
 
 
 def run_cell(regime_name: str, *, resilience: bool = True,
@@ -123,7 +129,7 @@ def run_cell(regime_name: str, *, resilience: bool = True,
     missed = n_failed + sum(
         1 for run in report.runs
         if run.boot_delay + run.duration > plan.deadline)
-    od_cost, _ = _on_demand_baseline(seed)
+    od_cost = _on_demand_baseline(seed)
 
     return {
         "regime": regime_name,
@@ -131,10 +137,7 @@ def run_cell(regime_name: str, *, resilience: bool = True,
         "seed": seed,
         "bid": bid,
         "slack": slack,
-        "bins": total_bins,
-        "missed": missed,
-        "failed": n_failed,
-        "miss_rate": round(missed / total_bins, 4) if total_bins else 0.0,
+        **deadline_outcome(total_bins, missed, n_failed),
         "cost_usd": round(stats.total_cost, 4),
         "on_demand_baseline_usd": round(od_cost, 4),
         "cost_ratio": round(stats.total_cost / od_cost, 4) if od_cost else 0.0,
@@ -148,55 +151,6 @@ def run_cell(regime_name: str, *, resilience: bool = True,
         "on_demand_cost_usd": round(stats.on_demand_cost, 4),
         "faults_injected": injector.fault_counts(),
     }
-
-
-def _aggregate(cells: list[dict]) -> dict:
-    """Miss rate over all cells' bins plus mean cost and cost ratio."""
-    bins = sum(c["bins"] for c in cells)
-    missed = sum(c["missed"] for c in cells)
-    return {
-        "miss_rate": round(missed / bins, 4) if bins else 0.0,
-        "missed": missed,
-        "bins": bins,
-        "mean_cost_usd": round(
-            sum(c["cost_usd"] for c in cells) / len(cells), 4),
-        "mean_cost_ratio": round(
-            sum(c["cost_ratio"] for c in cells) / len(cells), 4),
-        "cells": cells,
-    }
-
-
-def _cell_records(stats: dict) -> dict[str, list[RunRecord]]:
-    """Operating-point run records per policy side, regime-then-seed order."""
-    records: dict[str, list[RunRecord]] = {}
-    for name, per_policy in stats["regimes"].items():
-        for policy, agg in per_policy.items():
-            for cell in agg["cells"]:
-                records.setdefault(policy, []).append(RunRecord(
-                    kind="sweep-cell",
-                    label=f"exp_spot.{name}.{policy}",
-                    config={"regime": name, "policy": policy,
-                            "seed": cell["seed"], "bid": cell["bid"],
-                            "slack": cell["slack"]},
-                    billing={"cost_usd": cell["cost_usd"]},
-                    deadline={"missed": cell["missed"],
-                              "failed": cell["failed"],
-                              "bins": cell["bins"],
-                              "miss_rate": cell["miss_rate"]},
-                    extra={"cost_ratio": cell["cost_ratio"],
-                           "interruptions": cell["interruptions"],
-                           "escalations": cell["escalations"],
-                           "rebids": cell["rebids"],
-                           "faults_injected": cell["faults_injected"]},
-                ))
-    return records
-
-
-def evaluate_spot_slos(stats: dict, *,
-                       slos: SloPolicy = SPOT_SLOS) -> dict[str, SloReport]:
-    """Evaluate the campaign SLOs per policy side over a sweep's stats."""
-    return {policy: slos.evaluate(records)
-            for policy, records in _cell_records(stats).items()}
 
 
 def spot_sweep(
@@ -222,38 +176,22 @@ def spot_sweep(
     sweep; results are bit-identical at any process count.
     """
     from repro.chaos import SPOT_REGIMES
-    from repro.experiments.sweep import Cell, run_sweep
 
     names = list(SPOT_REGIMES) if regimes is None else regimes
     bids = tuple(bids) if DEFAULT_BID in bids else tuple(bids) + (DEFAULT_BID,)
     slacks = (tuple(slacks) if DEFAULT_SLACK in slacks
               else tuple(slacks) + (DEFAULT_SLACK,))
-    grid = []
-    for name in names:
-        for seed in seeds:
-            if False in policies:
-                grid.append(Cell(
-                    "repro.experiments.exp_spot:run_cell",
-                    {"regime_name": name, "resilience": False,
-                     "bid": DEFAULT_BID, "slack": DEFAULT_SLACK, "seed": seed},
-                    tag=(name, "off", DEFAULT_BID, DEFAULT_SLACK)))
-            if True in policies:
-                for bid in bids:
-                    for slack in slacks:
-                        grid.append(Cell(
-                            "repro.experiments.exp_spot:run_cell",
-                            {"regime_name": name, "resilience": True,
-                             "bid": bid, "slack": slack, "seed": seed},
-                            tag=(name, "on", bid, slack)))
-    from repro.obs import get_obs
-
-    registry = get_obs().metrics
-    result = run_sweep(grid, processes=processes,
-                       collect_metrics=registry.enabled,
-                       merge_into=registry if registry.enabled else None)
-    by_tag: dict = {}
-    for tag, row in zip(result.tags, result.rows):
-        by_tag.setdefault(tag, []).append(row)
+    # The naive side runs only at the operating point; the ladder side
+    # covers the whole bid × slack surface.
+    points = ([(False, DEFAULT_BID, DEFAULT_SLACK)] if False in policies
+              else []) + ([(True, bid, slack) for bid in bids
+                           for slack in slacks] if True in policies else [])
+    grid = [Cell("repro.experiments.exp_spot:run_cell",
+                 {"regime_name": name, "resilience": on, "bid": bid,
+                  "slack": slack, "seed": seed},
+                 tag=(name, "on" if on else "off", bid, slack))
+            for name in names for seed in seeds for on, bid, slack in points]
+    by_tag = run_grid(grid, processes)
 
     stats: dict = {"regimes": {}, "grid": []}
     for name in names:
@@ -261,37 +199,26 @@ def spot_sweep(
         for policy in ("on", "off"):
             cells = by_tag.get((name, policy, DEFAULT_BID, DEFAULT_SLACK))
             if cells:
-                per_policy[policy] = _aggregate(cells)
+                per_policy[policy] = aggregate(cells)
         stats["regimes"][name] = per_policy
-        row = {p: per_policy[p]["miss_rate"] for p in per_policy}
-        _log.info("spot %-16s miss %s", name,
-                  " ".join(f"{p}={r:.3f}" for p, r in row.items()))
+        _log.info("spot %-16s miss %s", name, " ".join(
+            f"{p}={agg['miss_rate']:.3f}" for p, agg in per_policy.items()))
     if True in policies:
-        for name in names:
-            for bid in bids:
-                for slack in slacks:
-                    cells = by_tag.get((name, "on", bid, slack))
-                    if not cells:
-                        continue
-                    agg = _aggregate(cells)
-                    stats["grid"].append({
-                        "regime": name, "bid": bid, "slack": slack,
-                        "miss_rate": agg["miss_rate"],
-                        "mean_cost_usd": agg["mean_cost_usd"],
-                        "mean_cost_ratio": agg["mean_cost_ratio"],
-                    })
+        stats["grid"] = [
+            surface_row(by_tag[(name, "on", bid, slack)], regime=name,
+                        bid=bid, slack=slack)
+            for name in names for bid in bids for slack in slacks
+            if by_tag.get((name, "on", bid, slack))]
 
     fig = FigureResult(
         "Spot", "deadline misses and cost on spot capacity: "
         "fallback ladder on vs naive spot")
-    for metric, key in (("miss rate", "miss_rate"),
-                        ("cost vs on-demand", "mean_cost_ratio")):
-        for policy in ("on", "off"):
-            rows = [(n, stats["regimes"][n][policy][key]) for n in names
-                    if policy in stats["regimes"][n]]
-            if rows:
-                fig.add(f"{metric} [{policy}]",
-                        [n for n, _ in rows], [float(v) for _, v in rows])
+    per_name = stats["regimes"]
+    worst = plot_groups(
+        fig, (("miss rate", "miss_rate"),
+              ("cost vs on-demand", "mean_cost_ratio")),
+        [(p, [(n, per_name[n][p]) for n in names if p in per_name[n]])
+         for p in ("on", "off")])
     # Sensitivity series: one point per grid value, aggregated over the
     # other axes — how the resilient side moves with bid and slack.
     for axis, values in (("bid", bids), ("slack", slacks)):
@@ -304,43 +231,30 @@ def spot_sweep(
         if len(rows) > 1:
             fig.add(f"miss rate by {axis} [on]",
                     [lbl for lbl, _ in rows], [val for _, val in rows])
-    on_rates = [stats["regimes"][n]["on"]["miss_rate"] for n in names
-                if "on" in stats["regimes"][n]]
-    off_rates = [stats["regimes"][n]["off"]["miss_rate"] for n in names
-                 if "off" in stats["regimes"][n]]
-    if on_rates and off_rates:
-        fig.note(f"ladder-on worst miss {max(on_rates):.3f}; "
-                 f"naive-spot worst miss {max(off_rates):.3f} "
+    if len(worst) == 2:
+        fig.note(f"ladder-on worst miss {worst['on']:.3f}; "
+                 f"naive-spot worst miss {worst['off']:.3f} "
                  f"over {len(names)} regimes x {len(seeds)} seeds")
 
-    # Flight recorder + SLOs: operating-point cells become ledger
-    # records, and the declared objectives are judged per policy side.
-    slo_reports = evaluate_spot_slos(stats)
-    for report in slo_reports.values():
-        _log.info("%s", render_slo_table(report))
-    ledger = get_run_ledger()
-    if ledger is not None:
-        for records in _cell_records(stats).values():
-            for record in records:
-                ledger.append(record)
-    record_experiment(
-        "exp_spot",
+    finish_sweep(
+        "spot", stats,
         config={"regimes": names, "seeds": list(seeds),
                 "bids": list(bids), "slacks": list(slacks),
                 "policies": ["on" if p else "off" for p in policies]},
-        extra={
-            "slo": {p: r.to_dict() for p, r in slo_reports.items()},
-            "worst_miss": {p: max((stats["regimes"][n][p]["miss_rate"]
-                                   for n in names
-                                   if p in stats["regimes"][n]), default=0.0)
-                           for p in ("on", "off")},
-        },
+        extra={"worst_miss": {p: worst.get(p, 0.0) for p in ("on", "off")}},
     )
     return fig, stats
 
 
-# CLI resolution: `repro runs slo --policy spot` judges this campaign.
-from repro.experiments.registry import register_slo_policy  # noqa: E402
-
-register_slo_policy("spot", slos=SPOT_SLOS, group_key="config.policy",
-                    group_name="policy", label_prefix="exp_spot.")
+# `repro runs slo --policy spot` and the sweep's own records resolve this;
+# only operating-point cells (default bid and slack) become records.
+register_slo_policy(
+    "spot", slos=SPOT_SLOS, group_key="config.policy",
+    label_keys=("regime", "policy"),
+    config_keys=("regime", "policy", "seed", "bid", "slack"),
+    extra_keys=("cost_ratio", "interruptions", "escalations", "rebids",
+                "faults_injected"),
+    cost_key="cost_usd",
+    cells=lambda stats: [cell for per_policy in stats["regimes"].values()
+                         for agg in per_policy.values()
+                         for cell in agg["cells"]])

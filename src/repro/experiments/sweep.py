@@ -34,9 +34,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.sim.random import stable_seed
+from repro.experiments.registry import cell_records, evaluate_slos
 
-__all__ = ["Cell", "SweepResult", "run_sweep", "fork_seeds", "resolve"]
+__all__ = ["Cell", "SweepResult", "run_sweep", "resolve", "DEFAULT_SEEDS",
+           "run_grid", "deadline_outcome", "aggregate", "surface_row",
+           "plot_groups", "finish_sweep"]
+
+#: Campaign seeds the chaos, spot, DAG and matrix sweeps aggregate over.
+DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 47)
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,6 @@ def resolve(path: str) -> Callable:
     if not callable(fn):
         raise ValueError(f"{path!r} does not name a callable")
     return fn
-
-
-def fork_seeds(base_seed: int, n: int, name: str = "sweep") -> list[int]:
-    """``n`` independent 63-bit seeds derived from ``(base_seed, name, i)``.
-
-    The same stable BLAKE2b derivation :class:`~repro.sim.random.RngStream`
-    forks use, so sweep seeds inherit the repo-wide property: adding cells
-    never shifts the seeds existing cells observe, across processes and
-    Python versions alike.
-    """
-    return [stable_seed(base_seed, f"{name}.{i}") >> 1 for i in range(n)]
 
 
 def _run_cell(spec: Cell, collect_metrics: bool,
@@ -193,3 +187,87 @@ def run_sweep(
     return SweepResult(rows=rows, tags=[c.tag for c in cells],
                        metrics_dumps=dumps, processes=used,
                        run_records=records)
+
+
+def run_grid(cells: Sequence[Cell], processes: int | None) -> dict:
+    """Run a campaign grid under the active metrics registry and ledger;
+    rows grouped by cell tag, in tag-insertion order."""
+    from repro.obs import get_obs
+
+    registry = get_obs().metrics
+    result = run_sweep(cells, processes=processes,
+                       collect_metrics=registry.enabled,
+                       merge_into=registry if registry.enabled else None)
+    by_tag: dict = {}
+    for tag, row in zip(result.tags, result.rows):
+        by_tag.setdefault(tag, []).append(row)
+    return by_tag
+
+
+def deadline_outcome(bins: int, missed: int, failed: int) -> dict:
+    """A cell's deadline fields; ``missed`` counts failed bins too."""
+    return {"bins": bins, "missed": missed, "failed": failed,
+            "miss_rate": round(missed / bins, 4) if bins else 0.0}
+
+
+def aggregate(cells: list[dict], cost_key: str = "cost_usd") -> dict:
+    """Miss rate over all cells' bins, mean cost and, when the cells carry
+    one, mean on-demand cost ratio; the cells ride along."""
+    bins = sum(c["bins"] for c in cells)
+    missed = sum(c["missed"] for c in cells)
+    agg = {
+        "miss_rate": round(missed / bins, 4) if bins else 0.0,
+        "missed": missed,
+        "bins": bins,
+        "mean_cost_usd": round(
+            sum(c[cost_key] for c in cells) / len(cells), 4),
+    }
+    if "cost_ratio" in cells[0]:
+        agg["mean_cost_ratio"] = round(
+            sum(c["cost_ratio"] for c in cells) / len(cells), 4)
+    agg["cells"] = cells
+    return agg
+
+
+def surface_row(cells: list[dict], cost_key: str = "cost_usd",
+                **axes) -> dict:
+    """One sensitivity-surface row: ``axes`` plus the cells' miss rate,
+    mean cost and mean on-demand cost ratio."""
+    agg = aggregate(cells, cost_key)
+    return {**axes, **{k: agg[k] for k in
+                       ("miss_rate", "mean_cost_usd", "mean_cost_ratio")}}
+
+
+def plot_groups(fig, metrics: tuple, groups: list) -> dict[str, float]:
+    """Add one series per ``(label, key)`` metric and ``(group, points)``
+    pair, ``points`` being ``(x, row)``; returns each plotted group's
+    worst ``miss_rate``."""
+    for label, key in metrics:
+        for group, points in groups:
+            if points:
+                fig.add(f"{label} [{group}]", [x for x, _ in points],
+                        [float(row[key]) for _, row in points])
+    return {group: max(row["miss_rate"] for _, row in points)
+            for group, points in groups if points}
+
+
+def finish_sweep(name: str, stats: dict, *, config: dict, extra: dict,
+                 kind: str = "experiment") -> None:
+    """Judge and log the campaign's SLOs per side, then append its cell
+    records and the ``exp_<name>`` roll-up (verdicts in ``extra["slo"]``)."""
+    from repro.obs import get_logger
+    from repro.obs.ledger import get_run_ledger, record_experiment
+    from repro.obs.slo import render_slo_table
+
+    records = cell_records(name, stats)
+    reports = evaluate_slos(name, records)
+    log = get_logger(f"experiments.{name}")
+    for report in reports.values():
+        log.info("%s", render_slo_table(report))
+    ledger = get_run_ledger()
+    if ledger is not None:
+        for record in records:
+            ledger.append(record)
+    record_experiment(
+        f"exp_{name}", kind=kind, config=config,
+        extra={"slo": {s: r.to_dict() for s, r in reports.items()}, **extra})

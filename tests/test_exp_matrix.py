@@ -11,10 +11,10 @@ from repro.cli import main as cli_main
 from repro.experiments.exp_matrix import (
     REGIMES,
     STACKS,
-    evaluate_matrix_slos,
     matrix_sweep,
     run_cell,
 )
+from repro.experiments.registry import cell_records, evaluate_slos
 
 
 class TestRunCell:
@@ -48,7 +48,7 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_spot_stacks_meet_slos_in_every_regime(self, sweep):
         _, stats = sweep
-        reports = evaluate_matrix_slos(stats)
+        reports = evaluate_slos("matrix", cell_records("matrix", stats))
         assert set(reports) == set(STACKS)
         for stack in ("spot", "spot-lease"):
             assert reports[stack].ok, stack
@@ -60,7 +60,8 @@ class TestSweepAcceptance:
     @pytest.mark.chaos
     def test_fleet_control_fails_only_the_cost_objective(self, sweep):
         _, stats = sweep
-        report = evaluate_matrix_slos(stats)["fleet"]
+        report = evaluate_slos("matrix",
+                               cell_records("matrix", stats))["fleet"]
         by_name = {r.objective.name: r.ok for r in report.results}
         assert by_name["miss-rate"]
         assert not by_name["cost-vs-on-demand"]    # ratio 1.0 > 0.99

@@ -1,7 +1,7 @@
 """Tests for the bin-packing heuristics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.packing import (
@@ -109,12 +109,22 @@ class TestFirstFitDecreasing:
 
     @given(item_lists, st.integers(min_value=1, max_value=4000))
     @settings(max_examples=80)
+    @example(items_of(102, 102, 195, 103, 113, 103), 409)
     def test_never_more_bins_than_ff_plus_margin(self, items, cap):
-        """FFD should not use more bins than FF does (it's at least as good
-        on every instance we generate)."""
+        """FFD stays within Dosa's tight bound FFD <= 11/9 OPT + 6/9.
+
+        FFD is not better than FF on every instance: the pinned example
+        packs into 2 bins in the given order but 3 once sorted. Since
+        FF >= OPT, the bound holds with FF in place of OPT; oversized
+        items take one solo bin under both heuristics, so they only
+        loosen it.
+        """
         ffd = first_fit_decreasing(items, cap)
         ff = first_fit(items, cap)
-        assert len(ffd) <= len(ff)
+        assert len(ffd) <= (11 * len(ff) + 6) // 9
+        oversized = sum(1 for it in items if it.size > cap)
+        fitting = sum(it.size for it in items if it.size <= cap)
+        assert len(ffd) >= oversized + -(-fitting // cap)
 
     @given(item_lists, st.integers(min_value=1, max_value=4000))
     @settings(max_examples=80)

@@ -155,14 +155,15 @@ class TestGateEdges:
 class TestChaosSlos:
     @pytest.fixture(scope="class")
     def slo_reports(self):
-        from repro.experiments.exp_chaos import evaluate_chaos_slos, run_cell
+        from repro.experiments.exp_chaos import run_cell
+        from repro.experiments.registry import cell_records, evaluate_slos
 
         cells = {policy: run_cell("slow-ebs", resilience=(policy == "on"),
                                   seed=11)
                  for policy in ("on", "off")}
         stats = {"slow-ebs": {
             policy: {"cells": [cell]} for policy, cell in cells.items()}}
-        return evaluate_chaos_slos(stats)
+        return evaluate_slos("chaos", cell_records("chaos", stats))
 
     def test_resilience_on_meets_slos(self, slo_reports):
         report = slo_reports["on"]
@@ -180,7 +181,8 @@ class TestChaosSlos:
 
     def test_cli_runs_slo_splits_policies(self, slo_reports, tmp_path,
                                           capsys):
-        from repro.experiments.exp_chaos import _cell_records, run_cell
+        from repro.experiments.exp_chaos import run_cell
+        from repro.experiments.registry import cell_records
 
         cells = {policy: run_cell("slow-ebs", resilience=(policy == "on"),
                                   seed=11)
@@ -188,14 +190,25 @@ class TestChaosSlos:
         stats = {"slow-ebs": {
             policy: {"cells": [cell]} for policy, cell in cells.items()}}
         ledger = RunLedger(tmp_path)
-        for records in _cell_records(stats).values():
-            for rec in records:
-                ledger.append(rec)
+        for rec in cell_records("chaos", stats):
+            ledger.append(rec)
         rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
                        "--strict"])
         out = capsys.readouterr().out
         assert rc == 3                     # the off side violates
         assert "policy=on" in out and "policy=off" in out
+
+        # No spot cells in this ledger: the hint names every campaign.
+        from repro.experiments.registry import slo_policy_names
+
+        rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
+                       "--policy", "spot"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "no matching sweep-cell records" in out
+        assert len(slo_policy_names()) >= 4
+        for name in slo_policy_names():
+            assert f"`repro {name}`" in out, name
 
     def test_slo_objective_validation(self):
         with pytest.raises(ValueError):
@@ -226,20 +239,68 @@ class TestSloPolicyRegistry:
         assert entry.group_name == "stack"
         assert entry.label_prefix == "exp_matrix."
 
-    def test_register_is_last_writer_wins(self):
+    def test_register_is_last_writer_wins(self, monkeypatch):
+        from repro.experiments import registry
         from repro.experiments.registry import (
             get_slo_policy,
             register_slo_policy,
         )
         from repro.obs.slo import Objective, SloPolicy
 
+        # Register into a copy so the test campaign never leaks into
+        # help texts or hints built from the registry later on.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
         slos = SloPolicy("t", (Objective("o", "x", "<=", 1.0),))
+        shape = dict(label_keys=("a",), config_keys=("a",), extra_keys=(),
+                     cost_key="cost_usd", cells=list)
         register_slo_policy("_test", slos=slos, group_key="config.a",
-                            group_name="a")
+                            **shape)
         replaced = register_slo_policy("_test", slos=slos,
-                                       group_key="config.b", group_name="b")
+                                       group_key="config.b", **shape)
         assert get_slo_policy("_test") is replaced
         assert get_slo_policy("_test").group_key == "config.b"
+        assert replaced.group_name == "b"
+        assert replaced.label_prefix == "exp__test."
+
+    @staticmethod
+    def _dag_like_record(label: str) -> RunRecord:
+        return RunRecord(
+            kind="sweep-cell", label=label,
+            config={"backend": "s3", "shape": "linear", "seed": 11,
+                    "mode": "concurrent"},
+            billing={"cost_usd": 1.0},
+            deadline={"missed": 5, "failed": 0, "bins": 10,
+                      "miss_rate": 0.5})
+
+    def test_dag_policy_judges_only_dag_records(self, tmp_path, capsys):
+        # A sweep-cell record carrying config.backend but labelled outside
+        # exp_dag. belongs to another campaign: `runs slo --policy dag`
+        # must not judge it.
+        ledger = RunLedger(tmp_path)
+        ledger.append(self._dag_like_record("bench.backend-probe.s3"))
+        rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
+                       "--policy", "dag", "--strict"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "backend=" not in out
+        assert "no matching sweep-cell records" in out
+        # Control: the same record under the campaign's prefix is judged.
+        ledger.append(self._dag_like_record("exp_dag.s3.linear"))
+        rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),
+                       "--policy", "dag", "--strict"])
+        out = capsys.readouterr().out
+        assert rc == 3                      # 50 % of bins missed
+        assert out.count("backend=s3") == 1
+        assert "== SLO: dag-campaign (1 records) ==" in out
+
+    def test_runs_slo_help_names_every_campaign(self, capsys):
+        from repro.experiments.registry import slo_policy_names
+
+        assert cli_main(["runs", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "evaluate chaos SLOs" not in out
+        for name in slo_policy_names():
+            assert name in out, name
 
     def test_cli_unknown_policy_exits_2(self, tmp_path):
         rc = cli_main(["runs", "slo", "--runs-dir", str(tmp_path),

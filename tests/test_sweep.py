@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.sweep import Cell, fork_seeds, resolve, run_sweep
+from repro.experiments.sweep import Cell, resolve, run_sweep
 from repro.obs import MetricsRegistry, configure, disable, get_obs
 
 # Cells resolve their callables by "module:name" path, so the test cell
@@ -37,24 +37,10 @@ class TestResolve:
             resolve("tests.test_sweep:CELL")
 
 
-class TestForkSeeds:
-    def test_deterministic_and_distinct(self):
-        a = fork_seeds(7, 5)
-        assert a == fork_seeds(7, 5)
-        assert len(set(a)) == 5
-
-    def test_prefix_stable(self):
-        """Growing the grid never reseeds existing cells."""
-        assert fork_seeds(7, 8)[:3] == fork_seeds(7, 3)
-
-    def test_namespaced(self):
-        assert fork_seeds(7, 3, "a") != fork_seeds(7, 3, "b")
-
-
 class TestRunSweep:
     def _cells(self, n=4):
-        return [Cell(CELL, {"seed": s}, tag=f"s{s}")
-                for s in fork_seeds(0, n)]
+        return [Cell(CELL, {"seed": 11 + 12 * i}, tag=f"s{11 + 12 * i}")
+                for i in range(n)]
 
     def test_inline_results_in_input_order(self):
         cells = self._cells()
@@ -135,7 +121,7 @@ class TestChaosSweepWiring:
         assert "processes" in inspect.signature(chaos_sweep).parameters
 
     def test_cli_has_sweep_subcommand(self):
-        from repro.cli import cmd_sweep, main  # noqa: F401
+        from repro.cli import cmd_chaos, main  # noqa: F401
 
         assert main(["sweep", "--seeds", "0"]) == 2  # validated, no run
 
@@ -161,3 +147,29 @@ class TestChaosSweepWiring:
         reg = MetricsRegistry()
         reg.merge_dump(rows)
         assert reg.dump() == rows
+
+
+class TestSweepCommandChecks:
+    """One ``--processes`` rule for every sweep command that has the flag."""
+
+    GRIDS = {
+        "sweep": ["--scenario", "slow-ebs", "--policy", "on"],
+        "spot": ["--regime", "calm", "--policy", "on", "--bids", "0.06",
+                 "--slacks", "1.0"],
+        "dag": ["--backend", "local", "--shape", "linear"],
+        "matrix": ["--stack", "fleet", "--shape", "linear",
+                   "--regime", "calm"],
+    }
+
+    @pytest.mark.parametrize("processes", ["0", "-3"])
+    @pytest.mark.parametrize("command", sorted(GRIDS))
+    def test_nonpositive_processes_rejected(self, command, processes,
+                                            caplog):
+        from repro.cli import main
+
+        rc = main([command, *self.GRIDS[command], "--seeds", "1",
+                   "--processes", processes, "--no-ledger"])
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["--processes must be at least 1"]
