@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -83,7 +83,10 @@ class UnitColumns:
 
     The cost models price a whole bin at once from these columns instead
     of looping over per-unit objects; row ``i`` is unit ``i``'s size,
-    aggregate text statistics and member count.
+    aggregate text statistics and member count.  The columns keep their
+    source units in ``rows`` and iterate as them, so a caller that prices
+    the same units more than once can build the columns once and pass them
+    wherever the units themselves went.
     """
 
     size: np.ndarray                # int64 bytes
@@ -91,9 +94,13 @@ class UnitColumns:
     avg_sentence_words: np.ndarray  # float64
     markup_fraction: np.ndarray     # float64
     n_members: np.ndarray           # int64
+    rows: tuple[Unit | UnitMeta, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.size)
+
+    def __iter__(self) -> Iterator[Unit | UnitMeta]:
+        return iter(self.rows)
 
     @classmethod
     def of(cls, units: Units) -> UnitColumns:
@@ -104,10 +111,11 @@ class UnitColumns:
         """
         if isinstance(units, UnitColumns):
             return units
+        rows = tuple(units)
         sizes: list[int] = []
         stats: list[TextStats] = []
         n_members: list[int] = []
-        for u in units:
+        for u in rows:
             if isinstance(u, VirtualFile):
                 stats.append(u.stats)
                 n_members.append(1)
@@ -128,6 +136,7 @@ class UnitColumns:
             markup_fraction=np.array([s.markup_fraction for s in stats],
                                      dtype=np.float64),
             n_members=np.array(n_members, dtype=np.int64),
+            rows=rows,
         )
 
     def tokens(self) -> np.ndarray:

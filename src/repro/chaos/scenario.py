@@ -14,7 +14,10 @@ sweeps all of them with the resilience layer on and off.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from repro.sim.random import RngStream
 from repro.units import HOUR
@@ -124,13 +127,20 @@ class SpotInterruptionTrace:
         if mean_gap_hours <= 0:
             raise ValueError("mean gap must be positive")
         root = RngStream(seed, name="cloud").fork(f"spot.trace.{name}")
+        gap, horizon = mean_gap_hours * HOUR, horizon_hours * HOUR
+        # Gaps come in batches of the expected count plus four deviations,
+        # and ``accumulate`` adds them in order: the instants equal a
+        # running ``t += gap`` over the same draws.
+        batch = int(horizon / gap + 4 * math.sqrt(horizon / gap)) + 1
         events: list[tuple[float, str]] = []
         for zone in zones:
             rng = root.fork(zone)
-            t = rng.exponential(mean_gap_hours * HOUR)
-            while t < horizon_hours * HOUR:
-                events.append((t, zone))
-                t += rng.exponential(mean_gap_hours * HOUR)
+            gaps = rng.exponentials(gap, batch).tolist()
+            t = list(accumulate(gaps))
+            while t[-1] < horizon:          # the batch fell short: draw more
+                gaps += rng.exponentials(gap, batch).tolist()
+                t = list(accumulate(gaps))
+            events.extend(zip(t[:bisect_left(t, horizon)], repeat(zone)))
         return cls(name=name, events=tuple(sorted(events)))
 
     def next_after(self, zone: str, t: float) -> float | None:

@@ -17,11 +17,11 @@ exactly the observational position the paper's user is in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from repro.apps.base import TextApplication, Unit, UnitColumns, Units
+from repro.apps.base import TextApplication, UnitColumns, Units
 from repro.apps.profiles import GrepCostProfile, PosCostProfile, TimeBreakdown
 from repro.cloud.cluster import Cloud
 from repro.cloud.ebs import EbsVolume
@@ -59,7 +59,7 @@ class ExecutionService:
     def run(
         self,
         instance: Instance,
-        units: Sequence[Unit],
+        units: Units,
         workload: Workload,
         *,
         storage: EbsVolume | None = None,
@@ -67,6 +67,9 @@ class ExecutionService:
         advance_clock: bool = True,
     ) -> float:
         """Execute ``workload`` over ``units``; return measured seconds.
+
+        ``units`` may be their :class:`UnitColumns`, which a caller
+        measuring the same units repeatedly builds once.
 
         With ``storage`` given, I/O time is scaled by that volume's
         placement factor for ``directory`` (the volume must be attached to

@@ -99,7 +99,7 @@ def choose_procurement(
     on_demand_cost = on_demand_rate * math.ceil(work_hours)
 
     kwargs = market_kwargs or {}
-    mean_price = kwargs.get("mean_price", SpotMarket(rng=RngStream(0)).mean_price)
+    mean_price = kwargs.get("mean_price", SpotMarket.mean_price)  # the field default
     best: ProcurementDecision | None = None
     for factor in candidate_bid_factors:
         bid = round(mean_price * factor, 6)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps.base import UnitColumns
 from repro.cloud.bonnie import bonnie_probe
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
@@ -94,7 +95,8 @@ def calibrate_stream_model(
     def measure(units, directory):
         if storage is not None:
             storage.store(directory)
-        vals = [service.run(instance, units, workload, storage=storage,
+        columns = UnitColumns.of(units)
+        vals = [service.run(instance, columns, workload, storage=storage,
                             directory=directory) for _ in range(repeats)]
         return sum(vals) / len(vals)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.apps.base import Unit
+from repro.apps.base import Unit, UnitColumns
 from repro.cloud.ebs import EbsVolume
 from repro.cloud.instance import Instance
 from repro.cloud.service import ExecutionService, Workload
@@ -148,6 +148,8 @@ class ProbeCampaign:
         if self.storage is not None:
             self.storage.store(directory)
         obs = self._obs
+        # Every repeat prices the same units: build their columns once.
+        columns = UnitColumns.of(units)
         # Probe runs advance the simulated clock, so a live span brackets
         # all repeats of this probe on simulated time.
         with obs.tracer.span("perfmodel.probe.measure", cat="perfmodel",
@@ -155,7 +157,7 @@ class ProbeCampaign:
                              units=len(units), repeats=self.repeats):
             values = tuple(
                 self.service.run(
-                    self.instance, units, self.workload,
+                    self.instance, columns, self.workload,
                     storage=self.storage, directory=directory,
                 )
                 for _ in range(self.repeats)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.apps.base import UnitColumns, Units
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.cloud.spot import TWO_MINUTE_WARNING, SpotMarketBoard
@@ -218,7 +219,7 @@ class SpotProgress:
         return offer.instance, offer
 
     def _measure(self, ctx: CoreContext, active: "Instance",
-                 units: list) -> float:
+                 units: Units) -> float:
         """Full-bin seconds on ``active``, compute-ratio scaled."""
         p = self.ladder.policy
         t = ctx.svc.run(active, units, ctx.workload, advance_clock=False)
@@ -274,6 +275,8 @@ class SpotProgress:
         state = self.acquisition.bin_state(grant.index)
         idx, units = grant.index, grant.units
         volume = sum(u.size for u in units)
+        # Every segment re-measures the same units: price them once.
+        columns = UnitColumns.of(units)
         work_start = grant.work_start
         deadline = ctx.plan.deadline
 
@@ -294,7 +297,7 @@ class SpotProgress:
 
         while True:
             seg_start = work_start + elapsed
-            t_full = self._measure(ctx, active, units)
+            t_full = self._measure(ctx, active, columns)
             if first_full is None:
                 first_full = t_full
             seg_need = remaining * t_full

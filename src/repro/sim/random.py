@@ -12,17 +12,26 @@ hash, so:
   in ``benchmarks/`` byte-stable as the codebase grows.
 
 The implementation wraps :class:`numpy.random.Generator` (PCG64) and exposes
-only the handful of distributions the project needs.
+only the handful of distributions the project needs.  The generator is
+built on a stream's first draw, not when it is forked: many forks only
+exist to be forked again (``instance.N``, ``exec.…``) and never draw, so a
+fork costs one BLAKE2b hash.  A stream's draws do not depend on when its
+generator was built.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import operator
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["RngStream", "stable_seed"]
+
+#: Bytes a parent seed is packed into when forking (see :func:`stable_seed`).
+_SEED_BYTES = 16
 
 
 def stable_seed(parent_seed: int, name: str) -> int:
@@ -33,7 +42,7 @@ def stable_seed(parent_seed: int, name: str) -> int:
     into results).
     """
     digest = hashlib.blake2b(
-        parent_seed.to_bytes(16, "little") + name.encode(), digest_size=8
+        parent_seed.to_bytes(_SEED_BYTES, "little") + name.encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
 
@@ -44,7 +53,9 @@ class RngStream:
     Parameters
     ----------
     seed:
-        Root seed for this stream.
+        Root seed for this stream: an integer (numpy integers too) in
+        ``[0, 2**128)``, the range a fork can pack.  Other types raise
+        :class:`TypeError`, out-of-range values :class:`ValueError`.
     name:
         Dotted path describing where in the hierarchy this stream lives;
         informational only (shown in ``repr``), the seed is authoritative.
@@ -53,14 +64,29 @@ class RngStream:
     __slots__ = ("seed", "name", "_gen")
 
     def __init__(self, seed: int, name: str = "root") -> None:
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        self.seed = int(seed)
+        seed = operator.index(seed)
+        if not 0 <= seed < 1 << (8 * _SEED_BYTES):
+            raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+        self.seed = seed
         self.name = name
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen: np.random.Generator | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStream(name={self.name!r}, seed={self.seed})"
+
+    def __copy__(self) -> "RngStream":
+        """An independent stream at this one's position, drawn yet or not."""
+        twin = RngStream(self.seed, self.name)
+        if self._gen is not None:
+            twin._gen = copy.deepcopy(self._gen)
+        return twin
+
+    def _rng(self) -> np.random.Generator:
+        """This stream's generator, built on first use."""
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return gen
 
     # -- forking ---------------------------------------------------------
 
@@ -76,29 +102,29 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """One uniform draw from [low, high)."""
-        return float(self._gen.uniform(low, high))
+        return float(self._rng().uniform(low, high))
 
     def integer(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range ``[low, high]``."""
         if high < low:
             raise ValueError(f"empty integer range [{low}, {high}]")
-        return int(self._gen.integers(low, high + 1))
+        return int(self._rng().integers(low, high + 1))
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """One normal draw."""
-        return float(self._gen.normal(mean, std))
+        return float(self._rng().normal(mean, std))
 
     def lognormal(self, mean: float, sigma: float) -> float:
         """One lognormal draw (log-space mean/sigma)."""
-        return float(self._gen.lognormal(mean, sigma))
+        return float(self._rng().lognormal(mean, sigma))
 
     def pareto(self, shape: float) -> float:
         """Standard Pareto draw (support ``[0, inf)``, heavier for small shape)."""
-        return float(self._gen.pareto(shape))
+        return float(self._rng().pareto(shape))
 
     def exponential(self, scale: float) -> float:
         """One exponential draw with the given scale."""
-        return float(self._gen.exponential(scale))
+        return float(self._rng().exponential(scale))
 
     def choice(self, options: Sequence, weights: Sequence[float] | None = None):
         """Pick one element of ``options`` (optionally weighted)."""
@@ -110,33 +136,38 @@ class RngStream:
             if w.shape != (len(options),):
                 raise ValueError("weights must match options length")
             p = w / w.sum()
-        idx = int(self._gen.choice(len(options), p=p))
+        idx = int(self._rng().choice(len(options), p=p))
         return options[idx]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher–Yates shuffle."""
-        self._gen.shuffle(items)
+        self._rng().shuffle(items)
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """``k`` distinct indices from ``range(n)`` (without replacement)."""
         if k > n:
             raise ValueError(f"cannot sample {k} from {n} without replacement")
-        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
+        return [int(i) for i in self._rng().choice(n, size=k, replace=False)]
 
     # -- vector draws ----------------------------------------------------
 
     def normals(self, mean: float, std: float, size: int) -> np.ndarray:
         """Vector of normal draws."""
-        return self._gen.normal(mean, std, size=size)
+        return self._rng().normal(mean, std, size=size)
 
     def lognormals(self, mean: float, sigma: float, size: int) -> np.ndarray:
         """Vector of lognormal draws."""
-        return self._gen.lognormal(mean, sigma, size=size)
+        return self._rng().lognormal(mean, sigma, size=size)
 
     def uniforms(self, low: float, high: float, size: int) -> np.ndarray:
         """Vector of uniform draws."""
-        return self._gen.uniform(low, high, size=size)
+        return self._rng().uniform(low, high, size=size)
 
     def paretos(self, shape: float, size: int) -> np.ndarray:
         """Vector of standard Pareto draws."""
-        return self._gen.pareto(shape, size=size)
+        return self._rng().pareto(shape, size=size)
+
+    def exponentials(self, scale: float, size: int) -> np.ndarray:
+        """Vector of exponential draws (the same values, in order, as
+        ``size`` calls of :meth:`exponential`)."""
+        return self._rng().exponential(scale, size=size)

@@ -231,3 +231,33 @@ class TestInterruptionTrace:
         first = trace.events_for("za")[0]
         assert trace.next_after("za", first) > first
         assert trace.next_after("za", 6.0 * HOUR) is None
+
+    @staticmethod
+    def _one_draw_at_a_time(seed, zones, mean_gap_hours, horizon_hours):
+        """The trace as a running ``t += gap`` over scalar draws."""
+        root = RngStream(seed, name="cloud").fork("spot.trace.t")
+        events = []
+        for zone in zones:
+            rng = root.fork(zone)
+            t = rng.exponential(mean_gap_hours * HOUR)
+            while t < horizon_hours * HOUR:
+                events.append((t, zone))
+                t += rng.exponential(mean_gap_hours * HOUR)
+        return tuple(sorted(events))
+
+    @pytest.mark.parametrize("mean_gap_hours,horizon_hours", [
+        (0.25, 12.0),   # eviction-storm: one batch covers the horizon
+        (100.0, 1.0),   # one-draw batches: any event forces a second batch
+    ])
+    def test_batched_gaps_equal_scalar_draws(self, mean_gap_hours, horizon_hours):
+        zones = ("za", "zb", "zc")
+        n_events = 0
+        for seed in range(60):
+            trace = SpotInterruptionTrace.generate(
+                "t", seed=seed, zones=zones, mean_gap_hours=mean_gap_hours,
+                horizon_hours=horizon_hours)
+            assert trace.events == self._one_draw_at_a_time(
+                seed, zones, mean_gap_hours, horizon_hours)
+            assert all(type(at) is float for at, _ in trace.events)
+            n_events += len(trace.events)
+        assert n_events > 0
