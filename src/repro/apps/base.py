@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.vfs.files import Segment, TextStats, VirtualFile
+from repro.vfs.files import Catalogue, Segment, TextStats, VirtualFile
 
 __all__ = ["WorkAccount", "AppResult", "UnitMeta", "UnitColumns", "Units", "running_total",
            "TextApplication", "Unit"]
@@ -77,7 +77,7 @@ class UnitMeta:
             raise ValueError("unit metadata must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class UnitColumns:
     """The units of one run as cost-model columns, one array per field.
 
@@ -86,7 +86,9 @@ class UnitColumns:
     aggregate text statistics and member count.  The columns keep their
     source units in ``rows`` and iterate as them, so a caller that prices
     the same units more than once can build the columns once and pass them
-    wherever the units themselves went.
+    wherever the units themselves went.  Columns of a :class:`Catalogue`
+    keep the catalogue itself as ``rows``, so its files are built only if
+    something iterates them.
     """
 
     size: np.ndarray                # int64 bytes
@@ -94,7 +96,7 @@ class UnitColumns:
     avg_sentence_words: np.ndarray  # float64
     markup_fraction: np.ndarray     # float64
     n_members: np.ndarray           # int64
-    rows: tuple[Unit | UnitMeta, ...] = field(repr=False, compare=False)
+    rows: Sequence[Unit | UnitMeta] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.size)
@@ -102,15 +104,31 @@ class UnitColumns:
     def __iter__(self) -> Iterator[Unit | UnitMeta]:
         return iter(self.rows)
 
+    def __getitem__(self, index):
+        """A slice gives columns (:meth:`take`); a position gives its row."""
+        return self.take(index) if isinstance(index, slice) else self.rows[index]
+
+    @property
+    def volume(self) -> int:
+        """Total bytes of the units."""
+        return int(self.size.sum())
+
     @classmethod
     def of(cls, units: Units) -> UnitColumns:
         """Columns of files, segments or :class:`UnitMeta` rows (in order).
 
-        An existing :class:`UnitColumns` is returned as is; any other
-        element type raises :class:`TypeError`.
+        An existing :class:`UnitColumns` is returned as is, and a
+        :class:`Catalogue` hands over its own columns; any other element
+        type raises :class:`TypeError`.
         """
         if isinstance(units, UnitColumns):
             return units
+        if isinstance(units, Catalogue):
+            awl, asw, markup = units.stat_columns()
+            return cls(size=units.sizes(), avg_word_len=awl,
+                       avg_sentence_words=asw, markup_fraction=markup,
+                       n_members=np.ones(len(units), dtype=np.int64),
+                       rows=units)
         rows = tuple(units)
         sizes: list[int] = []
         stats: list[TextStats] = []
@@ -138,6 +156,38 @@ class UnitColumns:
             n_members=np.array(n_members, dtype=np.int64),
             rows=rows,
         )
+
+    def take(self, index) -> UnitColumns:
+        """The units at ``index`` (a slice or distinct positions), in order.
+
+        Rows of a catalogue stay a (lazy) catalogue view.
+        """
+        if not isinstance(index, slice):
+            index = np.asarray(index, dtype=np.intp)
+        rows = self.rows
+        if isinstance(rows, Catalogue):
+            sub = rows.take(index)
+        elif isinstance(index, slice):
+            sub = tuple(rows[index])
+        else:
+            sub = tuple([rows[i] for i in index.tolist()])
+        return UnitColumns(self.size[index], self.avg_word_len[index],
+                           self.avg_sentence_words[index],
+                           self.markup_fraction[index], self.n_members[index],
+                           rows=sub)
+
+    def pop(self, index: int = -1) -> Unit | UnitMeta:
+        """Remove and return the unit at ``index``, as :meth:`list.pop` does.
+
+        A plan's bins stay editable like the unit lists they hold: every
+        column drops the unit's entry.
+        """
+        i = range(len(self))[index]  # normalises negatives, raises IndexError
+        row = self.rows[i]
+        rest = self.take(np.delete(np.arange(len(self)), i))
+        for f in fields(self):
+            setattr(self, f.name, getattr(rest, f.name))
+        return row
 
     def tokens(self) -> np.ndarray:
         """Estimated tokens per unit: its text bytes over word length + separator."""

@@ -35,6 +35,7 @@ from repro.runner.core import BinGrant, CoreContext
 from repro.runner.execute import FailedBin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.base import UnitColumns
     from repro.fleet.lease import LeaseManager
     from repro.resilience.launch import ResilientLauncher
 
@@ -91,7 +92,7 @@ class BrokerAcquisition:
             predicted=ctx.predicted[idx], at=at, deadline=ctx.plan.deadline,
             tenant=self.replacement_tenant, campaign=self.campaign)
 
-    def _grant(self, idx: int, units: list, offer: CapacityOffer,
+    def _grant(self, idx: int, units: UnitColumns, offer: CapacityOffer,
                at: float, predicted: float) -> BinGrant:
         self._offers[idx] = offer
         if offer.lease is not None:
@@ -126,7 +127,7 @@ class BrokerAcquisition:
                 except OfferUnavailable as e:
                     ctx.report.failures.append(FailedBin(
                         bin_index=idx, reason=e.reason, n_units=len(units),
-                        volume=sum(u.size for u in units)))
+                        volume=units.volume))
                     if ctx.obs.enabled:
                         ctx.obs.metrics.counter("runner.bins.failed",
                                                 reason=e.reason).inc()
@@ -135,14 +136,14 @@ class BrokerAcquisition:
                     reason = getattr(e, "reason", None) or str(e)
                     ctx.report.failures.append(FailedBin(
                         bin_index=idx, reason=reason, n_units=len(units),
-                        volume=sum(u.size for u in units)))
+                        volume=units.volume))
                     launch_failures += 1
                     continue
                 except CapacityError as e:
                     ctx.report.failures.append(FailedBin(
                         bin_index=idx, reason=f"capacity-exhausted: {e}",
                         n_units=len(units),
-                        volume=sum(u.size for u in units)))
+                        volume=units.volume))
                     launch_failures += 1
                     continue
             grants.append(self._grant(idx, units, offer, now,

@@ -78,7 +78,7 @@ class CapacityRequest:
     """
 
     bin_index: int | None = None
-    units: list = field(default_factory=list)
+    units: Sequence = ()
     predicted: float = 0.0
     at: float = 0.0
     deadline: float | None = None

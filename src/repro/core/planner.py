@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.apps.base import Unit
+from repro.apps.base import Unit, UnitColumns, Units
 from repro.packing import (
     first_fit_layout,
     pack_into_n_bins_layout,
@@ -27,6 +27,7 @@ from repro.packing import (
 from repro.packing.index import BinLayout
 from repro.perfmodel.regression import FitError, Predictor
 from repro.units import HOUR, billed_hours
+from repro.vfs.files import Catalogue
 
 __all__ = ["PlanError", "plan_cost", "ebs_assignment", "ProvisioningPlan", "StaticProvisioner"]
 
@@ -81,12 +82,17 @@ class ProvisioningPlan:
     planning_deadline: float            # seconds actually planned against
     strategy: str                       # "first-fit" | "uniform" | "adjusted"
     predictor_name: str
-    assignments: list[list[Unit]]
+    #: Units per bin as columns (rows of a catalogue stay lazy); bins
+    #: given as lists of units are converted on construction.
+    assignments: list[UnitColumns]
     predicted_times: list[float] = field(default_factory=list)
     #: Lease provenance per executed bin, filled in by a fleet scheduler:
     #: ``bin index -> "warm:lease-000007" | "cold:lease-000001" |
     #: "extension:lease-000009"``.  Empty for privately-booted runs.
     lease_sources: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.assignments = [UnitColumns.of(b) for b in self.assignments]
 
     @property
     def n_instances(self) -> int:
@@ -104,7 +110,7 @@ class ProvisioningPlan:
 
     @property
     def total_volume(self) -> int:
-        return sum(u.size for b in self.assignments for u in b)
+        return sum(b.volume for b in self.assignments)
 
     def max_predicted_time(self) -> float:
         """Largest per-instance predicted time (the makespan bound)."""
@@ -150,18 +156,18 @@ class StaticProvisioner:
     # -- planning -----------------------------------------------------------
 
     def _predict_times(
-        self, layouts: Sequence[BinLayout], units: Sequence[Unit]
-    ) -> tuple[list[list[Unit]], list[float]]:
-        assignments: list[list[Unit]] = []
+        self, layouts: Sequence[BinLayout], columns: UnitColumns
+    ) -> tuple[list[UnitColumns], list[float]]:
+        assignments: list[UnitColumns] = []
         times: list[float] = []
         for l in layouts:
-            assignments.append([units[i] for i in l.indices])
+            assignments.append(columns.take(l.indices))
             times.append(float(self.predictor.predict(l.used)))
         return assignments, times
 
     def plan(
         self,
-        units: Sequence[Unit],
+        units: Units,
         deadline: float,
         *,
         strategy: str = "first-fit",
@@ -195,12 +201,14 @@ class StaticProvisioner:
         eff_deadline = planning_deadline if planning_deadline is not None else deadline
         if eff_deadline <= 0 or deadline <= 0:
             raise PlanError("deadlines must be positive")
-        # Columnar: the packers consume the size column directly; units are
-        # regrouped by index afterwards, so no Item dataclasses or key dicts
-        # are built per call.
-        sizes = [u.size for u in units]
+        # Columnar: the packers consume the size column, and each bin is
+        # the columns gathered by its layout's indices.  A catalogue's
+        # paths are unique by construction; other units are checked here.
+        columns = UnitColumns.of(units)
+        sizes = columns.size.tolist()
         volume = sum(sizes)
-        if len({self._key(u) for u in units}) != len(units):
+        if (not isinstance(columns.rows, Catalogue)
+                and len({self._key(u) for u in columns.rows}) != len(sizes)):
             raise PlanError("unit names are not unique")
 
         if strategy == "first-fit":
@@ -220,7 +228,7 @@ class StaticProvisioner:
         else:
             raise PlanError(f"unknown strategy {strategy!r}")
 
-        assignments, times = self._predict_times(layouts, units)
+        assignments, times = self._predict_times(layouts, columns)
         label = strategy if planning_deadline is None else "adjusted"
         return ProvisioningPlan(
             deadline=deadline,

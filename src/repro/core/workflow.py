@@ -27,9 +27,8 @@ from repro.cloud.service import ExecutionService, Workload
 from repro.core.planner import StaticProvisioner
 from repro.perfmodel.regression import Predictor
 from repro.runner.execute import ExecutionReport
-from repro.sim.random import stable_seed
 from repro.units import HOUR
-from repro.vfs.files import Catalogue, TextStats, VirtualFile
+from repro.vfs.files import Catalogue
 
 __all__ = ["WorkflowStage", "TextWorkflow", "WorkflowError",
            "assign_subdeadlines", "derived_catalogue", "execute_workflow"]
@@ -68,11 +67,13 @@ class TextWorkflow:
 
     def __init__(self) -> None:
         self._graph = nx.DiGraph()
+        self._order: list[WorkflowStage] | None = None
 
     def add_stage(self, stage: WorkflowStage, *, after: list[str] | None = None) -> None:
         """Add a stage, optionally after named predecessors."""
         if stage.name in self._graph:
             raise WorkflowError(f"duplicate stage {stage.name!r}")
+        self._order = None
         self._graph.add_node(stage.name, stage=stage)
         for dep in after or []:
             if dep not in self._graph:
@@ -83,9 +84,12 @@ class TextWorkflow:
             raise WorkflowError(f"adding {stage.name!r} would create a cycle")
 
     def stages(self) -> list[WorkflowStage]:
-        """Stages in a deterministic topological order."""
-        order = list(nx.lexicographical_topological_sort(self._graph))
-        return [self._graph.nodes[n]["stage"] for n in order]
+        """Stages in a deterministic topological order (sorted once, then
+        cached until the next :meth:`add_stage`)."""
+        if self._order is None:
+            self._order = [self._graph.nodes[n]["stage"]
+                           for n in nx.lexicographical_topological_sort(self._graph)]
+        return list(self._order)
 
     def stage(self, name: str) -> WorkflowStage:
         """Look up a stage by name."""
@@ -187,8 +191,10 @@ def derived_catalogue(
     catalogues with many small files and the drift compounded per stage.
     Per-file shares use largest-remainder rounding: floor each share,
     then hand the leftover bytes to the files with the largest fractional
-    parts (ties by catalogue order).  The split runs in numpy over
-    :meth:`Catalogue.sizes`; only building the kept output files loops.
+    parts (ties by catalogue order).  Zero-byte outputs are dropped.  The
+    whole derivation is numpy over the source's columns; the output keeps
+    paths and content seeds as a rule (:meth:`Catalogue.derive`) and
+    builds no file objects.
     """
     ratio = stage.output_ratio
     shares = source.sizes() * ratio
@@ -211,17 +217,10 @@ def derived_catalogue(
                 sizes[j] -= 1
                 rem += 1
             i += 1
-    strip = stage.strips_markup
-    files = []
-    for f, out_size in zip(source, sizes.tolist()):
-        if out_size <= 0:
-            continue
-        stats = f.stats
-        if strip and stats.markup_fraction > 0:
-            stats = TextStats(stats.avg_word_len, stats.avg_sentence_words, 0.0)
-        files.append(VirtualFile(f"{stage.name}/{f.path}", out_size, stats,
-                                 stable_seed(f.content_seed, seed_tag)))
-    return Catalogue(files, name=f"{source.name}->{stage.name}")
+    keep = np.flatnonzero(sizes > 0)
+    return source.derive(keep, sizes[keep], prefix=f"{stage.name}/",
+                         seed_tag=seed_tag, strip_markup=stage.strips_markup,
+                         name=f"{source.name}->{stage.name}")
 
 
 @dataclass
@@ -295,14 +294,12 @@ def execute_workflow(
     for stage in workflow.stages():
         preds = workflow.predecessors(stage.name)
         if preds:
-            merged: list[VirtualFile] = []
-            for p in preds:
-                merged.extend(produced[p])
-            stage_input = Catalogue(merged, name=f"input->{stage.name}")
+            stage_input = Catalogue.concat([produced[p] for p in preds],
+                                           name=f"input->{stage.name}")
         else:
             stage_input = catalogue
         prov = StaticProvisioner(stage.predictor)
-        plan = prov.plan(list(stage_input), subdeadlines[stage.name],
+        plan = prov.plan(stage_input, subdeadlines[stage.name],
                          strategy=strategy)
         core = ExecutionCore(
             cloud, stage.workload, plan,

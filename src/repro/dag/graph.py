@@ -19,6 +19,8 @@ real applications in :mod:`repro.apps`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.apps import (
@@ -70,8 +72,13 @@ class WorkflowGraph(TextWorkflow):
         return {(p, c): outs[p] for p, c in self.edges()}
 
 
+@functools.cache
 def _affine(a: float, b: float) -> Predictor:
-    """A seconds-per-byte predictor fit through three synthetic points."""
+    """A seconds-per-byte predictor fit through three synthetic points.
+
+    Fit once per process and shared by every graph built: the inputs are
+    constants and nothing mutates a predictor after the fit.
+    """
     x = np.array([1e5, 1e6, 1e7])
     return fit_affine(x, a + b * x)
 

@@ -52,7 +52,7 @@ from repro.obs.ledger import (
 )
 from repro.runner.core import CoreContext, ExecutionCore, StagePolicy
 from repro.runner.execute import ExecutionReport
-from repro.vfs.files import Catalogue, VirtualFile
+from repro.vfs.files import Catalogue
 
 __all__ = ["DagReport", "DagScheduler", "StageResult", "execute_dag"]
 
@@ -350,15 +350,12 @@ class DagScheduler:
         st.ready_at = self.cloud.now
         preds = self.graph.predecessors(name)
         if preds:
-            merged: list[VirtualFile] = []
-            for p in preds:
-                merged.extend(self._produced[p])
-            st.stage_input = Catalogue(merged, name=f"input->{name}")
+            st.stage_input = Catalogue.concat(
+                [self._produced[p] for p in preds], name=f"input->{name}")
         else:
             st.stage_input = self.catalogue
-        units = list(st.stage_input)
         sub = self._subdeadlines[name]
-        if not units:
+        if not len(st.stage_input):
             # Nothing survived the upstream filters: the stage is a no-op.
             st.ctx = None
             self._finish_stage(name, ExecutionReport(deadline=sub,
@@ -366,7 +363,7 @@ class DagScheduler:
                                stage_end=self.cloud.now)
             return
         plan = StaticProvisioner(st.stage.predictor).plan(
-            units, sub, strategy=self.strategy)
+            st.stage_input, sub, strategy=self.strategy)
         st.policy = self._policy_for(name)
         st.core = ExecutionCore(
             self.cloud, st.stage.workload, plan,

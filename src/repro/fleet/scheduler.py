@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.apps.base import UnitColumns
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.core.planner import ProvisioningPlan
@@ -46,7 +47,7 @@ class FleetRequest:
 class _Task:
     request: FleetRequest
     bin_index: int
-    units: list
+    units: UnitColumns
     est_seconds: float
 
 
@@ -179,7 +180,7 @@ class FleetScheduler:
                 if not units:
                     continue
                 est = times[b] if b < len(times) else 0.0
-                st.tasks.append(_Task(request, b, list(units), est))
+                st.tasks.append(_Task(request, b, units, est))
         return tenants
 
     def _place(self, tenant: str, st: _TenantState, task: _Task) -> BinRun:

@@ -66,6 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
+from repro.apps.base import UnitColumns
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.core.planner import ProvisioningPlan
@@ -169,7 +170,7 @@ class BinGrant:
     """
 
     index: int
-    units: list
+    units: UnitColumns
     instance: "Instance"
     launch_wait: float = 0.0
     boot_delay: float = 0.0
@@ -221,8 +222,8 @@ class CoreContext:
     bill: bool = True
     timeline: FleetTimeline = field(default_factory=FleetTimeline)
     events: list = field(default_factory=list)
-    occupied: list[tuple[int, list]] = field(default_factory=list)
-    by_index: dict[int, list] = field(default_factory=dict)
+    occupied: list[tuple[int, UnitColumns]] = field(default_factory=list)
+    by_index: dict[int, UnitColumns] = field(default_factory=dict)
     predicted: dict[int, float] = field(default_factory=dict)
     grants: list[BinGrant] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
@@ -406,7 +407,7 @@ class RunToCompletion:
         run = InstanceRun(
             instance_id=grant.instance.instance_id,
             n_units=len(grant.units),
-            volume=sum(u.size for u in grant.units),
+            volume=grant.units.volume,
             boot_delay=grant.boot_delay,
             duration=duration,
             predicted=grant.predicted,
@@ -429,17 +430,17 @@ class RunToCompletion:
                           duration=duration, end=end)
 
 
-def _split_point(units: list, fraction: float) -> int:
-    """Index splitting ``units`` so the head holds ≈``fraction`` of bytes."""
-    total = sum(u.size for u in units)
+def _split_point(sizes: list[int], fraction: float) -> int:
+    """Index splitting ``sizes`` so the head holds ≈``fraction`` of bytes."""
+    total = sum(sizes)
     if total == 0:
-        return len(units)
+        return len(sizes)
     acc = 0
-    for i, u in enumerate(units):
-        acc += u.size
+    for i, size in enumerate(sizes):
+        acc += size
         if acc >= fraction * total:
             return i + 1
-    return len(units)
+    return len(sizes)
 
 
 class StragglerProgress:
@@ -466,10 +467,10 @@ class StragglerProgress:
         inst, idx, units = grant.instance, grant.index, grant.units
         work_start, predicted = grant.work_start, grant.predicted
 
-        split = _split_point(units, policy.probe_fraction)
+        split = _split_point(units.size.tolist(), policy.probe_fraction)
         probe, rest = units[:split], units[split:]
-        probe_volume = sum(u.size for u in probe)
-        volume = sum(u.size for u in units)
+        probe_volume = probe.volume
+        volume = units.volume
 
         t_probe = ctx.svc.run(inst, probe, ctx.workload, advance_clock=False)
         expected_probe = predicted * (probe_volume / volume) if volume else t_probe
@@ -504,16 +505,16 @@ class StragglerProgress:
                 budget = straggler_rate * window
                 done = 0
                 acc = 0
-                for u in rest:
-                    if acc + u.size > budget:
+                for size in rest.size.tolist():
+                    if acc + size > budget:
                         break
-                    acc += u.size
+                    acc += size
                     done += 1
                 if done:
                     duration += ctx.svc.run(active, rest[:done], ctx.workload,
                                             advance_clock=False)
                     rest = rest[done:]
-            rest_volume = sum(u.size for u in rest)
+            rest_volume = rest.volume
             est_rest = (predicted * (rest_volume / volume)
                         if volume else t_probe)
             launcher = getattr(ctx.acquisition, "launcher", None)
@@ -550,7 +551,7 @@ class StragglerProgress:
                     bin_index=idx,
                     old_instance=active.instance_id,
                     new_instance=replacement.instance_id,
-                    at_progress=(volume - sum(u.size for u in rest)) / volume
+                    at_progress=(volume - rest.volume) / volume
                     if volume else 1.0,
                     observed_ratio=ratio,
                 ))
@@ -674,7 +675,7 @@ class CrashProgress:
                 failed_bin = FailedBin(
                     bin_index=idx, reason="crash-exhausted",
                     n_units=len(units),
-                    volume=sum(u.size for u in units),
+                    volume=units.volume,
                     completed_units=completed,
                     elapsed=crash_elapsed + policy.detection_timeout,
                     billed_hours=bin_billed_hours)
@@ -726,7 +727,7 @@ class CrashProgress:
                     bin_index=idx,
                     reason=f"replacement-failed: {e}",
                     n_units=len(units),
-                    volume=sum(u.size for u in units),
+                    volume=units.volume,
                     completed_units=completed,
                     elapsed=elapsed,
                     billed_hours=bin_billed_hours)
@@ -744,7 +745,7 @@ class CrashProgress:
         run = InstanceRun(
             instance_id=active.instance_id,
             n_units=len(units),
-            volume=sum(u.size for u in units),
+            volume=units.volume,
             boot_delay=grant.launch_wait + inst.boot_delay,
             duration=elapsed,
             predicted=grant.predicted,
@@ -781,7 +782,7 @@ class StaticCompletion(CompletionPolicy):
             predicted_times=[g.predicted for g in ctx.grants])
         for g, merged, t in zip(ctx.grants, replan.assignments,
                                 replan.predicted_times):
-            g.units = list(merged)
+            g.units = UnitColumns.of(merged)
             ctx.by_index[g.index] = g.units
             g.predicted = t
             ctx.predicted[g.index] = t
@@ -1146,7 +1147,7 @@ class ExecutionCore:
                                    strategy=self.strategy),
             bill=self.bill,
         )
-        ctx.occupied = [(i, list(units))
+        ctx.occupied = [(i, units)
                         for i, units in enumerate(plan.assignments) if units]
         ctx.by_index = dict(ctx.occupied)
         ctx.predicted = {

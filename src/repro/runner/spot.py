@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.apps.base import UnitColumns, Units
+from repro.apps.base import Units
 from repro.cloud.cluster import Cloud
 from repro.cloud.service import ExecutionService, Workload
 from repro.cloud.spot import TWO_MINUTE_WARNING, SpotMarketBoard
@@ -273,10 +273,9 @@ class SpotProgress:
         obs = ctx.obs
         stats = self.stats
         state = self.acquisition.bin_state(grant.index)
+        # Every segment re-measures the grant's units, priced as columns.
         idx, units = grant.index, grant.units
-        volume = sum(u.size for u in units)
-        # Every segment re-measures the same units: price them once.
-        columns = UnitColumns.of(units)
+        volume = units.volume
         work_start = grant.work_start
         deadline = ctx.plan.deadline
 
@@ -297,7 +296,7 @@ class SpotProgress:
 
         while True:
             seg_start = work_start + elapsed
-            t_full = self._measure(ctx, active, columns)
+            t_full = self._measure(ctx, active, units)
             if first_full is None:
                 first_full = t_full
             seg_need = remaining * t_full

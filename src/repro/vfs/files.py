@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.packing.bins import Item
-from repro.sim.random import RngStream
+from repro.sim.random import RngStream, stable_seed
 
 __all__ = ["TextStats", "VirtualFile", "Segment", "Catalogue"]
 
@@ -163,52 +163,175 @@ def _volume_weighted(members: Sequence[VirtualFile], total: int) -> TextStats:
     )
 
 
+def _require_unique(paths: list[str]) -> None:
+    """Raise on the first path that occurs twice."""
+    if len(set(paths)) != len(paths):
+        seen: set[str] = set()
+        for p in paths:
+            if p in seen:
+                raise ValueError(f"duplicate path in catalogue: {p!r}")
+            seen.add(p)
+
+
+def _positions(index, n: int) -> np.ndarray:
+    """``index`` (a slice or positions into ``n`` rows) as distinct,
+    non-negative positions; a position out of range raises
+    :class:`IndexError`."""
+    positions = np.arange(n, dtype=np.intp)[index]
+    # bincount, not np.unique: a linear pass, where unique sorts or hashes.
+    if (not isinstance(index, slice) and len(positions)
+            and np.bincount(positions).max() > 1):
+        raise ValueError("catalogue positions must be distinct")
+    return positions
+
+
+@dataclass(frozen=True, eq=False)
+class _RowRule:
+    """How a lazy catalogue's rows come from other catalogues' rows.
+
+    Row ``i`` is row ``index[i]`` of ``parts`` laid end to end (row ``i``
+    itself when ``index`` is ``None``).  Without a ``seed_tag`` that row
+    is shared as is; with one, a derived file is built from it: path
+    ``prefix + path``, content seed ``stable_seed(seed, seed_tag)``, and
+    the source's stats, with markup dropped when ``strip_markup``.
+    """
+
+    parts: tuple["Catalogue", ...]
+    index: np.ndarray | None = None
+    prefix: str = ""
+    seed_tag: str | None = None
+    strip_markup: bool = False
+
+    def source(self, i: int) -> VirtualFile:
+        """The part row that row ``i`` is or derives from."""
+        j = i if self.index is None else int(self.index[i])
+        for part in self.parts:
+            if j < len(part):
+                return part[j]
+            j -= len(part)
+        raise IndexError(i)
+
+    def derive(self, f: VirtualFile, size: int) -> VirtualFile:
+        """The derived file of source row ``f`` (only with a ``seed_tag``)."""
+        stats = f.stats
+        if self.strip_markup and stats.markup_fraction > 0:
+            stats = TextStats(stats.avg_word_len, stats.avg_sentence_words, 0.0)
+        return VirtualFile(self.prefix + f.path, size, stats,
+                           stable_seed(f.content_seed, self.seed_tag))
+
+    def gather(self, columns: list):
+        """Per-part columns laid end to end, then gathered by ``index``."""
+        col = columns[0] if len(columns) == 1 else (
+            np.concatenate(columns) if isinstance(columns[0], np.ndarray)
+            else [x for c in columns for x in c])
+        if self.index is None:
+            return col
+        if isinstance(col, np.ndarray):
+            return col[self.index]
+        return [col[j] for j in self.index.tolist()]
+
+
 class Catalogue:
-    """Ordered, immutable-ish collection of virtual files.
+    """Ordered, immutable collection of virtual files, held as columns.
 
     Supports the operations the experiments need: totals, slicing by count
     or by volume (probe construction, §4), random volume samples without
     replacement (§5.1/§5.2 refits), and size histograms (Fig. 1).
+
+    A catalogue holds an ``int64`` size column and ``float64`` text-stats
+    columns (:meth:`stat_columns`).  Built from files, it keeps them as
+    its rows and extracts the stats columns on first use.  Built by
+    :meth:`derive`, :meth:`take` or :meth:`concat`, it holds columns and
+    a rule, and builds a row (a :class:`VirtualFile`) only when one is
+    asked for: iteration or indexing, and so before a file's
+    ``materialize()``.  A built row is cached, so ``cat[i] is cat[i]``.
+    Paths are unique by construction.
     """
 
     def __init__(self, files: Iterable[VirtualFile], name: str = "catalogue") -> None:
-        self._files: list[VirtualFile] = list(files)
+        rows = list(files)
+        paths = [f.path for f in rows]
+        _require_unique(paths)
+        self._setup(name, np.array([f.size for f in rows], dtype=np.int64),
+                    rows=rows, paths=paths)
+
+    def _setup(self, name: str, sizes: np.ndarray, *,
+               rows: list[VirtualFile] | None = None,
+               rule: _RowRule | None = None,
+               paths: list[str] | None = None,
+               stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+               ) -> None:
         self.name = name
-        seen: set[str] = set()
-        for f in self._files:
-            if f.path in seen:
-                raise ValueError(f"duplicate path in catalogue: {f.path!r}")
-            seen.add(f.path)
-        self._sizes = np.array([f.size for f in self._files], dtype=np.int64)
-        self._cum = np.cumsum(self._sizes) if self._files else np.array([])
+        self._sizes = sizes
+        self._total = int(sizes.sum())
+        self._rows = rows                       # every row, once all are built
+        self._built: dict[int, VirtualFile] = {}  # rows built one at a time
+        self._rule = rule
+        self._paths = paths
+        self._stats = stats
+        self._cum: np.ndarray | None = None
         self._fingerprint: str | None = None
+
+    @classmethod
+    def _of(cls, name: str, sizes: np.ndarray, **kwargs) -> "Catalogue":
+        cat = cls.__new__(cls)
+        cat._setup(name, sizes, **kwargs)
+        return cat
 
     # -- basics ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._files)
+        return len(self._sizes)
 
     def __iter__(self) -> Iterator[VirtualFile]:
-        return iter(self._files)
+        return iter(self._all_rows())
 
-    def __getitem__(self, idx: int) -> VirtualFile:
-        return self._files[idx]
+    def __getitem__(self, idx):
+        if self._rows is not None:
+            return self._rows[idx]
+        if isinstance(idx, slice):
+            return [self[i] for i in range(len(self))[idx]]
+        i = range(len(self))[idx]  # normalises negatives, raises IndexError
+        f = self._built.get(i)
+        if f is None:
+            f = self._build(i)
+            self._built[i] = f
+        return f
+
+    def _build(self, i: int) -> VirtualFile:
+        rule = self._rule
+        f = rule.source(i)
+        return f if rule.seed_tag is None else rule.derive(f, int(self._sizes[i]))
+
+    def _all_rows(self) -> list[VirtualFile]:
+        """Every row, built in one pass over the parts' rows (which this
+        builds too); rows built one at a time before are kept."""
+        if self._rows is None:
+            rule = self._rule
+            rows = rule.gather([p._all_rows() for p in rule.parts])
+            if rule.seed_tag is not None:
+                built = self._built
+                rows = [built.get(k) or rule.derive(f, n)
+                        for k, (f, n) in enumerate(zip(rows, self._sizes.tolist()))]
+            self._rows = rows
+            self._built = {}
+        return self._rows
 
     @property
     def files(self) -> Sequence[VirtualFile]:
-        return tuple(self._files)
+        return tuple(self._all_rows())
 
     @property
     def total_size(self) -> int:
-        return int(self._cum[-1]) if len(self._files) else 0
+        return self._total
 
     @property
     def max_file_size(self) -> int:
-        return int(self._sizes.max()) if len(self._files) else 0
+        return int(self._sizes.max()) if len(self) else 0
 
     def items(self) -> list[Item]:
         """Packing items for every file, in order."""
-        return [f.as_item() for f in self._files]
+        return [f.as_item() for f in self]
 
     def sizes(self) -> np.ndarray:
         """File sizes in catalogue order as a cached ``np.int64`` column.
@@ -218,6 +341,40 @@ class Catalogue:
         per-file :class:`Item` dataclasses.  Treat the array as read-only.
         """
         return self._sizes
+
+    def paths(self) -> list[str]:
+        """File paths in catalogue order, built once without building rows."""
+        if self._paths is None:
+            if self._rows is not None:
+                self._paths = [f.path for f in self._rows]
+            else:
+                rule = self._rule
+                paths = rule.gather([p.paths() for p in rule.parts])
+                if rule.seed_tag is not None:
+                    paths = [rule.prefix + p for p in paths]
+                self._paths = paths
+        return self._paths
+
+    def stat_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(avg_word_len, avg_sentence_words, markup_fraction)`` columns.
+
+        Extracted from the rows on first use for a catalogue built from
+        files; gathered from the source columns otherwise.  Read-only.
+        """
+        if self._stats is None:
+            if self._rows is not None:
+                stats = [f.stats for f in self._rows]
+                self._stats = (
+                    np.array([s.avg_word_len for s in stats], dtype=np.float64),
+                    np.array([s.avg_sentence_words for s in stats], dtype=np.float64),
+                    np.array([s.markup_fraction for s in stats], dtype=np.float64),
+                )
+            else:
+                rule = self._rule
+                parts = [p.stat_columns() for p in rule.parts]
+                self._stats = tuple(rule.gather([c[k] for c in parts])
+                                    for k in range(3))
+        return self._stats
 
     def fingerprint(self) -> str:
         """Content hash of the size column, for packing-cache keys.
@@ -230,10 +387,46 @@ class Catalogue:
             import hashlib
 
             h = hashlib.blake2b(digest_size=16)
-            h.update(len(self._files).to_bytes(8, "little"))
+            h.update(len(self).to_bytes(8, "little"))
             h.update(self._sizes.tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    # -- views ---------------------------------------------------------------
+
+    def take(self, index, name: str | None = None) -> "Catalogue":
+        """The files at ``index`` (a slice or distinct positions), in order.
+
+        The result is a view sharing this catalogue's rows:
+        ``sub[k] is self[j]``.  Repeated positions raise
+        :class:`ValueError`, which keeps paths unique.
+        """
+        name = name if name is not None else f"{self.name}[take]"
+        index = _positions(index, len(self))
+        stats = (tuple(c[index] for c in self._stats)
+                 if self._stats is not None else None)
+        return Catalogue._of(name, self._sizes[index], stats=stats,
+                             rule=_RowRule((self,), index))
+
+    def derive(self, index, sizes: np.ndarray, *, prefix: str, seed_tag: str,
+               strip_markup: bool = False, name: str) -> "Catalogue":
+        """Files derived from the files at ``index``, with sizes ``sizes``.
+
+        Derived file ``k`` of source file ``f = self[index[k]]`` has path
+        ``prefix + f.path``, content seed ``stable_seed(f.content_seed,
+        seed_tag)`` and ``f``'s stats (markup zeroed when
+        ``strip_markup``).  Only the columns are computed here; rows and
+        seeds are built when a row is asked for.  Repeated positions raise
+        :class:`ValueError`.
+        """
+        index = _positions(index, len(self))
+        awl, asw, markup = self.stat_columns()
+        markup = np.zeros(len(index)) if strip_markup else markup[index]
+        return Catalogue._of(
+            name, np.asarray(sizes, dtype=np.int64),
+            stats=(awl[index], asw[index], markup),
+            rule=_RowRule((self,), index, prefix=prefix, seed_tag=seed_tag,
+                          strip_markup=strip_markup))
 
     # -- probe/sample construction ------------------------------------------
 
@@ -244,11 +437,13 @@ class Catalogue:
         form" up to the requested probe volume.
         """
         if volume <= 0:
-            return Catalogue([], name=f"{self.name}[:0B]")
+            return self.take(slice(0, 0), name=f"{self.name}[:0B]")
         if volume >= self.total_size:
-            return Catalogue(self._files, name=f"{self.name}[:all]")
+            return self.take(slice(None), name=f"{self.name}[:all]")
+        if self._cum is None:
+            self._cum = np.cumsum(self._sizes)
         k = int(bisect.bisect_left(self._cum, volume)) + 1
-        return Catalogue(self._files[:k], name=f"{self.name}[:{volume}B]")
+        return self.take(slice(0, k), name=f"{self.name}[:{volume}B]")
 
     def sample_by_volume(
         self, volume: int, rng: RngStream, *, exclude: set[str] | None = None
@@ -261,40 +456,50 @@ class Catalogue:
         """
         if volume < 0:
             raise ValueError("sample volume must be non-negative")
-        pool = [f for f in self._files if not exclude or f.path not in exclude]
+        pool = ([i for i, p in enumerate(self.paths()) if p not in exclude]
+                if exclude else list(range(len(self))))
         order = list(range(len(pool)))
         rng.shuffle(order)
+        sizes = self._sizes.tolist()
         picked: list[int] = []
         acc = 0
         for i in order:
             if acc >= volume:
                 break
-            picked.append(i)
-            acc += pool[i].size
+            picked.append(pool[i])
+            acc += sizes[pool[i]]
         # Restore catalogue order so downstream packing sees original order.
         picked.sort()
-        return Catalogue([pool[i] for i in picked],
-                         name=f"{self.name}[sample {volume}B]")
+        return self.take(picked, name=f"{self.name}[sample {volume}B]")
 
     def filter(self, predicate) -> "Catalogue":
         """Files satisfying ``predicate`` (original order preserved)."""
-        return Catalogue([f for f in self._files if predicate(f)],
+        return self.take([i for i, f in enumerate(self) if predicate(f)],
                          name=f"{self.name}[filtered]")
 
     def sorted_by_size(self, *, descending: bool = False) -> "Catalogue":
         """Size-ordered copy (the paper builds initial probes 'among the
         smallest' files, §4)."""
-        ordered = sorted(self._files, key=lambda f: (f.size, f.path),
-                         reverse=descending)
-        return Catalogue(ordered, name=f"{self.name}[by-size]")
+        sizes, paths = self._sizes.tolist(), self.paths()
+        order = sorted(range(len(sizes)), key=lambda i: (sizes[i], paths[i]),
+                       reverse=descending)
+        return self.take(order, name=f"{self.name}[by-size]")
 
     @staticmethod
     def concat(parts: Sequence["Catalogue"], name: str = "concat") -> "Catalogue":
-        """Concatenate catalogues (paths must stay globally unique)."""
-        files: list[VirtualFile] = []
-        for p in parts:
-            files.extend(p)
-        return Catalogue(files, name=name)
+        """Concatenate catalogues (paths must stay globally unique).
+
+        Each part is unique already, so paths are checked only across
+        parts, on the path columns.
+        """
+        parts = tuple(parts)
+        paths = None
+        if len(parts) > 1:
+            paths = [p for part in parts for p in part.paths()]
+            _require_unique(paths)
+        sizes = (np.concatenate([p._sizes for p in parts]) if parts
+                 else np.zeros(0, dtype=np.int64))
+        return Catalogue._of(name, sizes, paths=paths, rule=_RowRule(parts))
 
     def partition_volumes(self, n_parts: int) -> list["Catalogue"]:
         """Split into ``n_parts`` contiguous, ≈equal-volume catalogues.
@@ -305,12 +510,8 @@ class Catalogue:
 
         layouts = uniform_layout(self._sizes.tolist(), n_bins=n_parts,
                                  preserve_order=True)
-        return [
-            Catalogue(
-                [self._files[j] for j in l.indices], name=f"{self.name}/part{i}"
-            )
-            for i, l in enumerate(layouts)
-        ]
+        return [self.take(l.indices, name=f"{self.name}/part{i}")
+                for i, l in enumerate(layouts)]
 
     # -- analytics -----------------------------------------------------------
 

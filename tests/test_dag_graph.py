@@ -1,9 +1,12 @@
 """Tests for WorkflowGraph: DAG topology and edge-volume accounting."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
-from repro.core import WorkflowError
+from repro.core import WorkflowError, WorkflowStage
 from repro.dag import WorkflowGraph, fanout_pipeline, linear_pipeline
+from repro.perfmodel.regression import fit_affine
 
 
 class TestTopology:
@@ -59,3 +62,44 @@ class TestVolumes:
         outs = g.output_volumes(vin)
         vols = g.stage_volumes(vin)
         assert vols["aggregate"] == outs["tokenize"] + outs["tag"]
+
+
+class TestSetUpCaching:
+    def test_stage_models_are_fit_once_and_equal(self):
+        a, b = linear_pipeline(), fanout_pipeline()
+        grid = np.array([0.0, 1.0, 1e3, 1e5, 1e6, 1e7, 1e9, 3.7e10])
+        for name in ("filter", "extract", "tokenize", "tag", "aggregate"):
+            pa, pb = a.stage(name).predictor, b.stage(name).predictor
+            assert (pa.a, pa.b) == (pb.a, pb.b)
+            assert np.array_equal(pa.predict(grid), pb.predict(grid))
+
+    def test_cached_model_equals_a_fresh_fit(self):
+        x = np.array([1e5, 1e6, 1e7])
+        fresh = fit_affine(x, 3.0 + 1.4e-4 * x)
+        cached = linear_pipeline().stage("tag").predictor
+        assert (cached.a, cached.b) == (fresh.a, fresh.b)
+        grid = np.linspace(0.0, 1e9, 17)
+        assert np.array_equal(cached.predict(grid), fresh.predict(grid))
+
+    def test_stage_order_follows_added_stages(self):
+        g = linear_pipeline()
+        before = [s.name for s in g.stages()]
+        extra = g.stage("aggregate")
+        g.add_stage(WorkflowStage("report", extra.workload, extra.predictor),
+                    after=["aggregate"])
+        assert [s.name for s in g.stages()] == before + ["report"]
+        g.add_stage(WorkflowStage("audit", extra.workload, extra.predictor))
+        assert [s.name for s in g.stages()][0] == "audit"
+        # Callers get their own list: mutating it leaves the graph alone.
+        g.stages().clear()
+        assert len(g.stages()) == 7
+
+    def test_stage_order_after_a_rejected_stage(self):
+        g = linear_pipeline()
+        extra = g.stage("aggregate")
+        with pytest.raises(WorkflowError):
+            g.add_stage(WorkflowStage("late", extra.workload, extra.predictor),
+                        after=["nope"])
+        assert [s.name for s in g.stages()] == list(
+            nx.lexicographical_topological_sort(g._graph))
+

@@ -152,3 +152,86 @@ class TestPinnedCases:
         assert_same(_catalogue([10, 20], name="Korpus-ß"),
                     _stage(0.5, name="étape-语"), "résumé-⌈P⌉")
         assert stable_seed(7, "ünïcode-语") == reference_stable_seed(7, "ünïcode-语")
+
+
+# -- chains, fan-in and bytes -------------------------------------------------
+#
+# The columnar catalogue builds a derived row only when one is asked for,
+# from its source's row: a chain of derivations resolves through every
+# ancestor.  Each check below compares those lazily built rows with the
+# reference applied stage by stage to materialised rows.
+
+
+def _reference_concat(parts, name):
+    return Catalogue([f for p in parts for f in p], name=name)
+
+
+stage_specs = st.tuples(ratios, st.booleans(), names)
+
+
+def _chain(source, specs, derive):
+    out = source
+    for k, (ratio, strips, tag) in enumerate(specs):
+        out = derive(out, _stage(ratio, strips=strips, name=f"s{k}"), tag)
+    return out
+
+
+class TestChainsAndFanIn:
+    @given(st.lists(files, max_size=25), st.lists(stage_specs, min_size=2,
+                                                  max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_derive_of_derive_matches_reference_chain(self, rows, specs):
+        source = Catalogue(
+            [VirtualFile(f"d/{i}", n, s, seed)
+             for i, (n, s, seed) in enumerate(rows)], name="src")
+        got = _chain(source, specs, lambda c, s, t: derived_catalogue(c, s, seed_tag=t))
+        want = _chain(source, specs, reference_derived_catalogue)
+        assert got.name == want.name
+        assert got.total_size == want.total_size
+        assert _rows(got) == _rows(want)
+
+    @given(st.lists(files, min_size=1, max_size=25), stage_specs, stage_specs,
+           stage_specs, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_fan_in_concat_matches_reference(self, rows, up, left, right, rnd):
+        source = Catalogue(
+            [VirtualFile(f"d/{i}", n, s, seed)
+             for i, (n, s, seed) in enumerate(rows)], name="src")
+
+        def diamond(derive, concat):
+            mid = derive(source, _stage(up[0], strips=up[1], name="mid"), up[2])
+            a = derive(mid, _stage(left[0], strips=left[1], name="a"), left[2])
+            b = derive(mid, _stage(right[0], strips=right[1], name="b"), right[2])
+            joined = concat([a, b], "input->join")
+            return derive(joined, _stage(0.5, name="join"), "join")
+
+        got = diamond(lambda c, s, t: derived_catalogue(c, s, seed_tag=t),
+                      Catalogue.concat)
+        want = diamond(reference_derived_catalogue, _reference_concat)
+        # Ask for rows out of order first: a row is the same whichever
+        # order rows are built in, and is built once.
+        order = list(range(len(got)))
+        rnd.shuffle(order)
+        for i in order:
+            assert got[i] is got[i]
+        assert _rows(got) == _rows(want)
+
+    def test_materialized_bytes_match_reference(self):
+        source = _catalogue([800, 3000, 0, 1200, 5000, 64, 2048], HTML,
+                            seeds=[7, 2**64 - 1, 3, MAX_SEED, 11, 0, 99])
+        specs = [(0.9, True, "x"), (0.7, False, "y"), (0.95, False, "z")]
+        got = _chain(source, specs, lambda c, s, t: derived_catalogue(c, s, seed_tag=t))
+        want = _chain(source, specs, reference_derived_catalogue)
+        assert _rows(got) == _rows(want)
+        for i in (0, 2, len(want) - 1):
+            data = got[i].materialize()
+            assert data == want[i].materialize()
+            assert len(data) == want[i].size
+
+    def test_lazy_rows_share_source_stats(self):
+        # A derived row carries its source row's stats object unless markup
+        # is stripped, exactly as the per-file loop did.
+        source = _catalogue([100, 200, 300], PLAIN)
+        out = derived_catalogue(derived_catalogue(source, _stage(0.9), "a"),
+                                _stage(0.9, strips=True, name="t"), "b")
+        assert all(f.stats is PLAIN for f in out)

@@ -1,10 +1,12 @@
 """Callers that price the same units repeatedly build their columns once.
 
 A spot bin re-measures its units on every market segment, and a probe
-runs its units ``repeats`` times.  Both build one :class:`UnitColumns`
-and hand it to every :meth:`ExecutionService.run`; the columns iterate
-as the units they were built from, so anything that walks the ``units``
-argument of ``run`` still sees the original files and segments.
+runs its units ``repeats`` times.  The planner builds one
+:class:`UnitColumns` per plan and hands out column slices as bins, which
+every segment measures as they are; a probe builds one per probe.  The
+columns iterate as the units they were built from, so anything that
+walks the ``units`` argument of ``run`` still sees the original files
+and segments.
 """
 
 import numpy as np
@@ -74,17 +76,20 @@ def _scan():
     return files, wl, fit_affine(np.array(xs), np.array(ys))
 
 
-def _ids(bins):
-    """Each bin as the identities of its units, bins in a fixed order."""
-    return sorted(tuple(map(id, units)) for units in bins)
-
-
 class TestSpotSegments:
     @pytest.mark.chaos
-    def test_one_build_per_bin_under_eviction_storm(self, column_builds, service_runs):
+    def test_one_build_per_bin_under_eviction_storm(self, column_builds,
+                                                    service_runs):
         files, wl, model = _scan()
+        column_builds.clear()
         plan = StaticProvisioner(model).plan(files, 4 * HOUR, strategy="uniform",
                                              planning_deadline=2 * HOUR)
+        # The planner builds the columns once, from the file list, and
+        # slices them into one set of columns per bin.
+        assert len(column_builds) == 1 and column_builds[0] is files
+        assert all(isinstance(b, UnitColumns) for b in plan.assignments)
+        assert sorted(id(u) for b in plan.assignments for u in b) == sorted(
+            map(id, files))
         seed = 4
         chaos = FaultInjector([get_spot_regime("eviction-storm").scenario(seed)],
                               seed=seed)
@@ -95,12 +100,11 @@ class TestSpotSegments:
         service_runs.clear()
         result = execute_plan_spot(cloud, wl, plan, policy=policy)
         assert result.stats.interruptions > 0
-        # Segments re-measured the bins, from one build per bin.
+        # Segments re-measured the bins, each from its bin's own columns:
+        # execution builds none.
         assert len(service_runs) > plan.n_instances
-        assert len(column_builds) == plan.n_instances
-        # ... each from exactly one bin's units.
-        assert _ids(column_builds) == _ids(plan.assignments)
-        assert all(isinstance(u, UnitColumns) for u in service_runs)
+        assert column_builds == []
+        assert {id(u) for u in service_runs} == {id(b) for b in plan.assignments}
 
 
 class TestProbeRepeats:
